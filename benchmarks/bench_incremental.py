@@ -61,8 +61,8 @@ def test_session_cold(benchmark, sources, size):
     benchmark.extra_info["config"] = "session_cold"
 
     def cold():
-        with AnalysisSession() as session:
-            return session.update_source(f"{size}.mc", src)
+        session = AnalysisSession()
+        return session.update_source(f"{size}.mc", src)
 
     delta = benchmark(cold)
     assert delta.seq == 1 and not delta.no_op
@@ -75,13 +75,13 @@ def test_session_one_function_edit(benchmark, sources, size):
         edit_one_function(src, size, v) for v in _VALUES)
     benchmark.extra_info["size"] = size
     benchmark.extra_info["config"] = "session_edit"
-    with AnalysisSession() as session:
-        session.update_source(f"{size}.mc", src)
-        delta = benchmark.pedantic(
-            lambda text: session.update_source(f"{size}.mc", text),
-            setup=lambda: ((next(variants),), {}),
-            rounds=5,
-        )
+    session = AnalysisSession()
+    session.update_source(f"{size}.mc", src)
+    delta = benchmark.pedantic(
+        lambda text: session.update_source(f"{size}.mc", text),
+        setup=lambda: ((next(variants),), {}),
+        rounds=5,
+    )
     # The measured rounds really were incremental: exactly the edited
     # function re-analyzed, nothing remapped, nothing no-op'd.
     assert not delta.no_op
@@ -103,16 +103,16 @@ def test_incremental_speedup_threshold(sources):
         _timed(lambda: AnalysisSession().update_source("xl.mc", src))
         for _ in range(2)
     )
-    with AnalysisSession() as session:
-        session.update_source("xl.mc", src)
-        edits = [edit_one_function(src, LARGEST, v) for v in _VALUES[:4]]
-        incremental = min(
-            _timed(lambda text=text: session.update_source("xl.mc", text))
-            for text in edits
-        )
-        delta = session.update_source(
-            "xl.mc", edit_one_function(src, LARGEST, "23.0"))
-        assert delta.reanalyzed == (_edit_target(LARGEST),)
+    session = AnalysisSession()
+    session.update_source("xl.mc", src)
+    edits = [edit_one_function(src, LARGEST, v) for v in _VALUES[:4]]
+    incremental = min(
+        _timed(lambda text=text: session.update_source("xl.mc", text))
+        for text in edits
+    )
+    delta = session.update_source(
+        "xl.mc", edit_one_function(src, LARGEST, "23.0"))
+    assert delta.reanalyzed == (_edit_target(LARGEST),)
     speedup = cold / incremental
     assert speedup >= 5.0, (
         f"one-function edit only {speedup:.1f}x faster than cold "

@@ -19,8 +19,8 @@ every file boundary, one seeded cross-file bug):
 ``test_project_edit_speedup_threshold`` is the ≥ 5x regression gate.
 
 ``project_edit`` additionally runs on the 1000-file XXL shape
-(``repro.bench.PROJECT_SIZES``); ``derived.project_assembly_speedup`` is
-the P1000/P100 per-edit ratio and
+(``repro.bench.PROJECT_SIZES``); ``derived.project_assembly_ratio`` is
+the P1000/P100 per-edit ratio (lower is better) and
 ``test_project_assembly_scaling_threshold`` gates it ≤ 2x — a one-file
 edit must cost O(edit + dependents), not O(project).
 
@@ -79,8 +79,8 @@ def test_project_cold(benchmark, files, tmp_path_factory):
     benchmark.extra_info["config"] = "project_cold"
 
     def cold():
-        with ProjectSession(root, store=False) as session:
-            return session.update_all()
+        session = ProjectSession(root, store=False)
+        return session.update_all()
 
     delta = benchmark(cold)
     assert delta.findings_total == 1
@@ -93,25 +93,25 @@ def test_project_one_file_edit(benchmark, files, tmp_path_factory):
         base.replace("v += 50;", value, 1) for value in _VALUES)
     benchmark.extra_info["size"] = SIZE
     benchmark.extra_info["config"] = "project_edit"
-    with ProjectSession(root, store=False) as session:
-        session.update_all()
+    session = ProjectSession(root, store=False)
+    session.update_all()
 
-        def edit(text):
-            _write(root, EDIT_FILE, text)
-            return session.update_file(EDIT_FILE)
+    def edit(text):
+        _write(root, EDIT_FILE, text)
+        return session.update_file(EDIT_FILE)
 
-        delta = benchmark.pedantic(
-            edit, setup=lambda: ((next(variants),), {}), rounds=5)
-        # The measured rounds were real one-function edits whose re-analysis
-        # stayed inside the dependent closure, not the whole project.
-        assert delta.changed == (EDIT_FUNC,)
-        assert 0 < len(delta.reanalyzed) < len(session._fingerprints) // 2
+    delta = benchmark.pedantic(
+        edit, setup=lambda: ((next(variants),), {}), rounds=5)
+    # The measured rounds were real one-function edits whose re-analysis
+    # stayed inside the dependent closure, not the whole project.
+    assert delta.changed == (EDIT_FUNC,)
+    assert 0 < len(delta.reanalyzed) < len(session._fingerprints) // 2
 
 
 def test_project_one_file_edit_xxl(benchmark, files_xxl, tmp_path_factory):
     """The same one-function edit, on the 1000-file (XXL) project — the
     ``project_edit`` pair P100/P1000 feeds ``derived.
-    project_assembly_speedup`` (the per-edit scaling ratio) in
+    project_assembly_ratio`` (the per-edit scaling ratio) in
     ``BENCH_scale.json``."""
     root = _materialize(files_xxl, tmp_path_factory, "edit-xxl")
     base = files_xxl[XXL_EDIT_FILE]
@@ -122,17 +122,17 @@ def test_project_one_file_edit_xxl(benchmark, files_xxl, tmp_path_factory):
                       "v += 500;\n    v += 5;", "v += 500;\n    v += 6;"))
     benchmark.extra_info["size"] = XXL_SIZE
     benchmark.extra_info["config"] = "project_edit"
-    with ProjectSession(root, store=False) as session:
-        session.update_all()
+    session = ProjectSession(root, store=False)
+    session.update_all()
 
-        def edit(text):
-            _write(root, XXL_EDIT_FILE, text)
-            return session.update_file(XXL_EDIT_FILE)
+    def edit(text):
+        _write(root, XXL_EDIT_FILE, text)
+        return session.update_file(XXL_EDIT_FILE)
 
-        delta = benchmark.pedantic(
-            edit, setup=lambda: ((next(variants),), {}), rounds=5)
-        assert delta.changed == (XXL_EDIT_FUNC,)
-        assert 0 < len(delta.reanalyzed) < len(session._fingerprints) // 2
+    delta = benchmark.pedantic(
+        edit, setup=lambda: ((next(variants),), {}), rounds=5)
+    assert delta.changed == (XXL_EDIT_FUNC,)
+    assert 0 < len(delta.reanalyzed) < len(session._fingerprints) // 2
 
 
 def test_project_line_insert_patch(benchmark, files, tmp_path_factory):
@@ -143,19 +143,19 @@ def test_project_line_insert_patch(benchmark, files, tmp_path_factory):
     variants = itertools.cycle(("// benchmark pad line\n" + base, base))
     benchmark.extra_info["size"] = SIZE
     benchmark.extra_info["config"] = "project_patch"
-    with ProjectSession(root, store=False) as session:
-        session.update_all()
-        misses = session.engine.stats.misses
+    session = ProjectSession(root, store=False)
+    session.update_all()
+    misses = session.engine.stats.misses
 
-        def patch(text):
-            _write(root, EDIT_FILE, text)
-            return session.update_file(EDIT_FILE)
+    def patch(text):
+        _write(root, EDIT_FILE, text)
+        return session.update_file(EDIT_FILE)
 
-        delta = benchmark.pedantic(
-            patch, setup=lambda: ((next(variants),), {}), rounds=5)
-        # Every measured round answered from patched artifacts.
-        assert delta.patched and not delta.changed and not delta.reanalyzed
-        assert session.engine.stats.misses == misses
+    delta = benchmark.pedantic(
+        patch, setup=lambda: ((next(variants),), {}), rounds=5)
+    # Every measured round answered from patched artifacts.
+    assert delta.patched and not delta.changed and not delta.reanalyzed
+    assert session.engine.stats.misses == misses
 
 
 def _timed(fn) -> float:
@@ -171,20 +171,20 @@ def test_project_edit_speedup_threshold(files, tmp_path_factory):
     root = _materialize(files, tmp_path_factory, "gate")
 
     def cold():
-        with ProjectSession(root, store=False) as session:
-            session.update_all()
+        session = ProjectSession(root, store=False)
+        session.update_all()
 
     cold_s = min(_timed(cold) for _ in range(2))
-    with ProjectSession(root, store=False) as session:
-        session.update_all()
-        edits = [files[EDIT_FILE].replace("v += 50;", value, 1)
-                 for value in _VALUES[:4]]
+    session = ProjectSession(root, store=False)
+    session.update_all()
+    edits = [files[EDIT_FILE].replace("v += 50;", value, 1)
+             for value in _VALUES[:4]]
 
-        def edit(text):
-            _write(root, EDIT_FILE, text)
-            session.update_file(EDIT_FILE)
+    def edit(text):
+        _write(root, EDIT_FILE, text)
+        session.update_file(EDIT_FILE)
 
-        edit_s = min(_timed(lambda t=t: edit(t)) for t in edits)
+    edit_s = min(_timed(lambda t=t: edit(t)) for t in edits)
     speedup = cold_s / edit_s
     assert speedup >= 5.0, (
         f"one-file edit only {speedup:.1f}x faster than cold project "
@@ -198,19 +198,19 @@ def _min_edit_seconds(root, files, rel, token, edits=10) -> float:
     fastest — the steady-state per-edit cost."""
     base = files[rel]
     times = []
-    with ProjectSession(root, store=False) as session:
-        session.update_all()
-        for i in range(edits):
-            text = base.replace(token, f"{token}\n    v += {i + 1};", 1)
-            _write(root, rel, text)
-            gc.collect()
-            gc.disable()
-            t0 = time.perf_counter()
-            delta = session.update_file(rel)
-            dt = time.perf_counter() - t0
-            gc.enable()
-            times.append(dt)
-            assert len(delta.changed) == 1
+    session = ProjectSession(root, store=False)
+    session.update_all()
+    for i in range(edits):
+        text = base.replace(token, f"{token}\n    v += {i + 1};", 1)
+        _write(root, rel, text)
+        gc.collect()
+        gc.disable()
+        t0 = time.perf_counter()
+        delta = session.update_file(rel)
+        dt = time.perf_counter() - t0
+        gc.enable()
+        times.append(dt)
+        assert len(delta.changed) == 1
     return min(times)
 
 

@@ -300,11 +300,10 @@ class AnalysisSession:
     #: diagnostic, not a log).
     MAX_FAILURES = 8
 
-    def __init__(self, jobs: int = 1, precision: str = "paper",
+    def __init__(self, precision: str = "paper",
                  interprocedural: bool = True,
                  entry_context: Word = EMPTY) -> None:
-        self.jobs = jobs
-        self.engine = AnalysisEngine(jobs=jobs)
+        self.engine = AnalysisEngine()
         self.precision = precision
         self.interprocedural = interprocedural
         self.entry_context = entry_context
@@ -324,18 +323,6 @@ class AnalysisSession:
         #: while the program's function-name set is unchanged — the checks
         #: are per-function except for call resolution against that set).
         self._checked: Dict[int, A.FuncDef] = {}
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def close(self) -> None:
-        self.engine.close()
-
-    def __enter__(self) -> "AnalysisSession":
-        return self
-
-    def __exit__(self, *_exc) -> bool:
-        self.close()
-        return False
 
     def stats(self) -> Dict[str, object]:
         return {
@@ -375,13 +362,9 @@ class AnalysisSession:
 
     def rebuild(self) -> None:
         """Last-resort self-heal: throw the whole warm state away — a fresh
-        engine (the old pool is shut down) and no per-file state.  The
-        session object itself survives, so the serve loop keeps running."""
-        try:
-            self.engine.close()
-        except Exception:
-            pass  # a wedged pool must not block the rebuild
-        self.engine = AnalysisEngine(jobs=self.jobs)
+        engine and no per-file state.  The session object itself survives,
+        so the serve loop keeps running."""
+        self.engine = AnalysisEngine()
         self._files.clear()
         self._checked.clear()
 

@@ -6,7 +6,7 @@ the resilience layer is guarded by a named **fault site** — a single
 :func:`fault_site` call at the exact point where the fault class can
 occur in production.  A :class:`FaultPlan` maps ``(site, hit)`` pairs to
 fault kinds, so a test (or the ``chaos-smoke`` CI job) can say
-"the *third* engine pool submit breaks", run the workload, and get the
+"the *third* cache-miss analysis fails", run the workload, and get the
 same failure on every machine, byte for byte.
 
 Plan syntax (the ``PARCOACH_FAULTS`` environment variable, or
@@ -14,7 +14,7 @@ Plan syntax (the ``PARCOACH_FAULTS`` environment variable, or
 
     site[:hit]=kind[,site[:hit]=kind ...]
 
-    PARCOACH_FAULTS="engine.pool.submit:3=broken_pool,session.read_file:1=oserror"
+    PARCOACH_FAULTS="engine.task:3=exception,session.read_file:1=oserror"
 
 ``hit`` is 1-based and defaults to 1: the fault fires on exactly that
 invocation of the site and never again (hit counters are per-plan and
@@ -22,8 +22,6 @@ per-process).  Fault kinds:
 
 ``exception``      raise :class:`InjectedFault`
 ``oserror``        raise ``OSError``
-``broken_pool``    raise ``concurrent.futures.process.BrokenProcessPool``
-``pickling``       raise ``pickle.PicklingError``
 ``timeout``        raise :class:`~repro.util.resilience.DeadlineExceeded`
 ``keyboard``       raise ``KeyboardInterrupt``
 ``truncate``       return only the first half of the site's payload
@@ -41,9 +39,7 @@ exactly like the paper keeps its runtime checks cheap enough to ship.
 from __future__ import annotations
 
 import os
-import pickle
 import threading
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -56,8 +52,7 @@ HANG_SECONDS = 30.0
 
 #: The registered fault sites (keep ``docs/resilience.md`` in sync).
 SITES = frozenset({
-    "engine.pool.submit",   # before each process-pool fan-out attempt
-    "engine.task",          # before each serial cache-miss analysis
+    "engine.task",          # before each cache-miss analysis
     "session.read_file",    # after a session re-reads a file (payload: text)
     "session.parse_chunk",  # before an incremental chunk parse
     "session.analyze",      # before the engine analyze of an update
@@ -80,8 +75,8 @@ class FaultPlanError(ValueError):
     unregistered site / unknown kind."""
 
 
-_KINDS = ("exception", "oserror", "broken_pool", "pickling", "timeout",
-          "keyboard", "truncate", "hang")
+_KINDS = ("exception", "oserror", "timeout", "keyboard", "truncate",
+          "hang")
 
 
 @dataclass(frozen=True)
@@ -152,10 +147,6 @@ class FaultPlan:
             raise InjectedFault(detail)
         if kind == "oserror":
             raise OSError(detail)
-        if kind == "broken_pool":
-            raise BrokenProcessPool(detail)
-        if kind == "pickling":
-            raise pickle.PicklingError(detail)
         if kind == "timeout":
             raise DeadlineExceeded(site, 0.0, 0.0)
         if kind == "keyboard":

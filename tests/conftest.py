@@ -8,6 +8,11 @@ from repro import analyze_program, instrument_program, parse_program, run_progra
 from repro.mpi.thread_levels import ThreadLevel
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a long-running test (deselect with -m 'not slow')")
+
+
 def analyze_source(src: str, **kwargs):
     """parse + analyze in one call."""
     return analyze_program(parse_program(src), **kwargs)

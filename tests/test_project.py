@@ -117,9 +117,9 @@ def test_manifest_errors(tmp_path, project):
 
 
 def test_cross_file_bug_flagged_with_cross_file_chain(project):
-    with ProjectSession(project) as session:
-        session.update_all()
-        findings = session.report["findings"]
+    session = ProjectSession(project)
+    session.update_all()
+    findings = session.report["findings"]
     codes = {f["code"] for f in findings}
     assert "collective-multithreaded" in codes
     diag = next(f for f in findings if f["code"] == "collective-multithreaded")
@@ -141,11 +141,11 @@ def test_cross_file_bug_provably_missed_per_file(project):
 
 
 def test_validate_full_and_delta_reports(project):
-    with ProjectSession(project) as session:
-        delta = session.update_all()
-        assert validate_report(session.report) == []
-        assert validate_report(delta.report) == []
-        assert session.report["tool"] == "project"
+    session = ProjectSession(project)
+    delta = session.update_all()
+    assert validate_report(session.report) == []
+    assert validate_report(delta.report) == []
+    assert session.report["tool"] == "project"
 
 
 def test_file_qualified_fingerprints_distinct(tmp_path):
@@ -159,9 +159,9 @@ def test_file_qualified_fingerprints_distinct(tmp_path):
             "}}\n")
     _write(tmp_path, "a.mc", body.format(i=0))
     _write(tmp_path, "b.mc", body.format(i=1))
-    with ProjectSession(str(tmp_path)) as session:
-        session.update_all()
-        findings = session.report["findings"]
+    session = ProjectSession(str(tmp_path))
+    session.update_all()
+    findings = session.report["findings"]
     assert len(findings) == 2
     assert len({f["fingerprint"] for f in findings}) == 2
     assert {f["file"] for f in findings} == {"a.mc", "b.mc"}
@@ -171,16 +171,16 @@ def test_file_qualified_fingerprints_distinct(tmp_path):
 
 
 def test_edit_in_one_file_reanalyzes_cross_file_dependents(project):
-    with ProjectSession(project) as session:
-        session.update_all()
-        assert len(session.report["findings"]) == 1
-        # Remove bump's collective in util.mc: its summary changes, so its
-        # caller main — defined in main.mc, textually untouched — must
-        # re-analyze across the file boundary (and the finding disappears).
-        _write(project, "util.mc",
-               UTIL.replace("    MPI_Barrier();\n", ""))
-        delta = session.update_file("util.mc")
-        assert session.report["findings"] == []
+    session = ProjectSession(project)
+    session.update_all()
+    assert len(session.report["findings"]) == 1
+    # Remove bump's collective in util.mc: its summary changes, so its
+    # caller main — defined in main.mc, textually untouched — must
+    # re-analyze across the file boundary (and the finding disappears).
+    _write(project, "util.mc",
+           UTIL.replace("    MPI_Barrier();\n", ""))
+    delta = session.update_file("util.mc")
+    assert session.report["findings"] == []
     assert delta.changed == ("bump",)
     assert "main" in delta.dependents
     assert set(delta.reanalyzed) >= {"bump", "main"}
@@ -189,46 +189,46 @@ def test_edit_in_one_file_reanalyzes_cross_file_dependents(project):
 
 
 def test_helper_signature_change_rechecks_callers_in_other_file(project):
-    with ProjectSession(project) as session:
-        session.update_all()
-        # bump now takes two parameters: the textually unchanged call in
-        # main.mc is re-checked — and rejected — across the file boundary.
-        _write(project, "util.mc",
-               UTIL.replace("int bump(int v)", "int bump(int v, int w)"))
-        with pytest.raises(SessionError) as err:
-            session.update_file("util.mc")
-        assert any("main.mc" in m and "bump" in m
-                   for m in err.value.messages)
-        # The failed update left the previous state intact.
-        assert session.report["findings"]
+    session = ProjectSession(project)
+    session.update_all()
+    # bump now takes two parameters: the textually unchanged call in
+    # main.mc is re-checked — and rejected — across the file boundary.
+    _write(project, "util.mc",
+           UTIL.replace("int bump(int v)", "int bump(int v, int w)"))
+    with pytest.raises(SessionError) as err:
+        session.update_file("util.mc")
+    assert any("main.mc" in m and "bump" in m
+               for m in err.value.messages)
+    # The failed update left the previous state intact.
+    assert session.report["findings"]
 
 
 def test_file_delete_close_reports_unknown_callee(project):
-    with ProjectSession(project) as session:
-        session.update_all()
-        with pytest.raises(SessionError) as err:
-            session.close_file("util.mc")
-        assert any("bump" in m for m in err.value.messages)
+    session = ProjectSession(project)
+    session.update_all()
+    with pytest.raises(SessionError) as err:
+        session.close_file("util.mc")
+    assert any("bump" in m for m in err.value.messages)
 
 
 def test_file_rename_keeps_findings(project):
     # Neither half of a rename is expressible alone: opening the new name
     # first defines duplicates, closing the old name first leaves unknown
     # callees.  rename_file does both in one atomic update.
-    with ProjectSession(project) as session:
-        session.update_all()
-        fp_before = {f["fingerprint"]: f for f in session.report["findings"]}
-        with pytest.raises(SessionError):
-            session.close_file("util.mc")
-        os.rename(os.path.join(project, "util.mc"),
-                  os.path.join(project, "helpers.mc"))
-        misses = session.engine.stats.misses
-        delta = session.rename_file("util.mc", "helpers.mc")
-        fp_after = {f["fingerprint"]: f for f in session.report["findings"]}
-        # Equal text at equal lines: fingerprints survive the move, nothing
-        # truly re-analyzes (reparse hits only).
-        assert delta.changed == () and delta.removed == ()
-        assert session.engine.stats.misses == misses
+    session = ProjectSession(project)
+    session.update_all()
+    fp_before = {f["fingerprint"]: f for f in session.report["findings"]}
+    with pytest.raises(SessionError):
+        session.close_file("util.mc")
+    os.rename(os.path.join(project, "util.mc"),
+              os.path.join(project, "helpers.mc"))
+    misses = session.engine.stats.misses
+    delta = session.rename_file("util.mc", "helpers.mc")
+    fp_after = {f["fingerprint"]: f for f in session.report["findings"]}
+    # Equal text at equal lines: fingerprints survive the move, nothing
+    # truly re-analyzes (reparse hits only).
+    assert delta.changed == () and delta.removed == ()
+    assert session.engine.stats.misses == misses
     # Findings are file-qualified, so the rename moves every fingerprint —
     # but the set of (code, function) findings is unchanged.
     assert {(f["code"], f["function"]) for f in fp_before.values()} \
@@ -241,9 +241,9 @@ def test_file_rename_keeps_findings(project):
 
 def test_duplicate_function_across_files_names_both_files(project):
     _write(project, "dup.mc", "int plain(int v) { return v; }\n")
-    with ProjectSession(project) as session:
-        with pytest.raises(SessionError) as err:
-            session.update_all()
+    session = ProjectSession(project)
+    with pytest.raises(SessionError) as err:
+        session.update_all()
     message = " ".join(err.value.messages)
     assert "dup.mc" in message and "util.mc" in message
 
@@ -252,18 +252,18 @@ def test_duplicate_function_across_files_names_both_files(project):
 
 
 def test_comment_insert_patches_with_zero_misses(project):
-    with ProjectSession(project) as session:
-        session.update_all()
-        lines_before = [ref["line"]
-                        for f in session.report["findings"]
-                        for ref in f["collectives"]]
-        misses = session.engine.stats.misses
-        _write(project, "util.mc", "// a new comment line\n" + UTIL)
-        delta = session.update_file("util.mc")
-        lines_after = [ref["line"]
-                       for f in session.report["findings"]
-                       for ref in f["collectives"]]
-        assert session.engine.stats.misses == misses  # zero engine misses
+    session = ProjectSession(project)
+    session.update_all()
+    lines_before = [ref["line"]
+                    for f in session.report["findings"]
+                    for ref in f["collectives"]]
+    misses = session.engine.stats.misses
+    _write(project, "util.mc", "// a new comment line\n" + UTIL)
+    delta = session.update_file("util.mc")
+    lines_after = [ref["line"]
+                   for f in session.report["findings"]
+                   for ref in f["collectives"]]
+    assert session.engine.stats.misses == misses  # zero engine misses
     assert set(delta.patched) == {"bump", "plain"}
     assert delta.changed == () and delta.reanalyzed == ()
     assert session.engine.stats.line_patches >= 2
@@ -271,15 +271,15 @@ def test_comment_insert_patches_with_zero_misses(project):
 
 
 def test_patch_then_real_edit_still_correct(project):
-    with ProjectSession(project) as session:
-        session.update_all()
-        _write(project, "util.mc", "\n\n" + UTIL)
-        session.update_file("util.mc")
-        # A real edit after a patch must re-analyze against the shifted
-        # fingerprints, not the stale pre-patch ones.
-        _write(project, "util.mc",
-               "\n\n" + UTIL.replace("v + 1", "v + 3"))
-        delta = session.update_file("util.mc")
+    session = ProjectSession(project)
+    session.update_all()
+    _write(project, "util.mc", "\n\n" + UTIL)
+    session.update_file("util.mc")
+    # A real edit after a patch must re-analyze against the shifted
+    # fingerprints, not the stale pre-patch ones.
+    _write(project, "util.mc",
+           "\n\n" + UTIL.replace("v + 1", "v + 3"))
+    delta = session.update_file("util.mc")
     # The edit is detected against the *shifted* fingerprint (a stale
     # pre-patch fingerprint would either misreport the change set or serve
     # bump from a stale entry), and the old artifact is evicted.
@@ -290,11 +290,11 @@ def test_patch_then_real_edit_still_correct(project):
 
 
 def test_between_chunk_whitespace_is_no_op(project):
-    with ProjectSession(project) as session:
-        session.update_all()
-        _write(project, "util.mc",
-               UTIL.replace("}\n\nint plain", "}\n\n\nint plain"))
-        delta = session.update_file("util.mc")
+    session = ProjectSession(project)
+    session.update_all()
+    _write(project, "util.mc",
+           UTIL.replace("}\n\nint plain", "}\n\n\nint plain"))
+    delta = session.update_file("util.mc")
     # The second chunk moved: patched, nothing re-analyzed.
     assert delta.patched == ("plain",)
     assert delta.reanalyzed == ()
@@ -389,31 +389,31 @@ def test_cli_project_gc(tmp_path, capsys):
 
 
 def test_parallel_sessions_share_warm_artifacts(project):
-    with ProjectSession(project) as first:
-        first.update_all()
-        assert first.engine.stats.misses > 0
-        assert first.engine.stats.store_writes > 0
-    with ProjectSession(project) as second:
-        second.update_all()
-        stats = second.engine.stats
-        assert stats.misses == 0
-        assert stats.store_hits > 0
-        assert second.report["findings"]
+    first = ProjectSession(project)
+    first.update_all()
+    assert first.engine.stats.misses > 0
+    assert first.engine.stats.store_writes > 0
+    second = ProjectSession(project)
+    second.update_all()
+    stats = second.engine.stats
+    assert stats.misses == 0
+    assert stats.store_hits > 0
+    assert second.report["findings"]
     # Identical findings from warm artifacts.
-    with ProjectSession(project, store=False) as cold:
-        cold.update_all()
-        assert cold.engine.stats.misses > 0
-        with ProjectSession(project) as warm:
-            warm.update_all()
-            assert ({f["fingerprint"] for f in warm.report["findings"]}
-                    == {f["fingerprint"] for f in cold.report["findings"]})
+    cold = ProjectSession(project, store=False)
+    cold.update_all()
+    assert cold.engine.stats.misses > 0
+    warm = ProjectSession(project)
+    warm.update_all()
+    assert ({f["fingerprint"] for f in warm.report["findings"]}
+            == {f["fingerprint"] for f in cold.report["findings"]})
 
 
 def test_store_disabled_by_flag(project):
-    with ProjectSession(project, store=False) as session:
-        session.update_all()
-        assert session.store is None
-        assert session.engine.stats.store_writes == 0
+    session = ProjectSession(project, store=False)
+    session.update_all()
+    assert session.store is None
+    assert session.engine.stats.store_writes == 0
     assert not os.path.isdir(os.path.join(project, ".parcoach"))
 
 
@@ -425,31 +425,31 @@ def test_generated_project_acceptance(tmp_path):
     assert len(files) == 102
     root = str(tmp_path / "proj")
     write_project(files, root)
-    with ProjectSession(root) as session:
-        session.update_all()
-        findings = session.report["findings"]
-        assert len(findings) == 1
-        diag = findings[0]
-        assert diag["code"] == "collective-multithreaded"
-        assert diag["function"] == "bug_helper"
-        assert diag["file"] == "helpers.mc"
-        assert diag["call_path"] == ["main", "bug_helper"]
-        assert diag["call_path_files"] == ["main.mc", "helpers.mc"]
+    session = ProjectSession(root)
+    session.update_all()
+    findings = session.report["findings"]
+    assert len(findings) == 1
+    diag = findings[0]
+    assert diag["code"] == "collective-multithreaded"
+    assert diag["function"] == "bug_helper"
+    assert diag["file"] == "helpers.mc"
+    assert diag["call_path"] == ["main", "bug_helper"]
+    assert diag["call_path_files"] == ["main.mc", "helpers.mc"]
 
-        # Edit one function in one file: only it + its cross-file dependent
-        # closure re-analyzes, not the whole project.
-        edited = files["m050.mc"].replace("v += 50;", "v += 51;", 1)
-        with open(os.path.join(root, "m050.mc"), "w") as handle:
-            handle.write(edited)
-        delta = session.update_file("m050.mc")
-        assert delta.changed == ("m50_f0",)
-        reanalyzed = set(delta.reanalyzed)
-        assert "m50_f0" in reanalyzed
-        # The dependent closure is the caller chain m49_f0 … m0_f0 + main —
-        # a strict subset of the project.
-        assert reanalyzed <= ({f"m{i}_f0" for i in range(51)} | {"main"})
-        assert "bug_helper" not in reanalyzed
-        assert len(reanalyzed) < 60 < len(session._fingerprints)
+    # Edit one function in one file: only it + its cross-file dependent
+    # closure re-analyzes, not the whole project.
+    edited = files["m050.mc"].replace("v += 50;", "v += 51;", 1)
+    with open(os.path.join(root, "m050.mc"), "w") as handle:
+        handle.write(edited)
+    delta = session.update_file("m050.mc")
+    assert delta.changed == ("m50_f0",)
+    reanalyzed = set(delta.reanalyzed)
+    assert "m50_f0" in reanalyzed
+    # The dependent closure is the caller chain m49_f0 … m0_f0 + main —
+    # a strict subset of the project.
+    assert reanalyzed <= ({f"m{i}_f0" for i in range(51)} | {"main"})
+    assert "bug_helper" not in reanalyzed
+    assert len(reanalyzed) < 60 < len(session._fingerprints)
     # Per-file analysis of the bug's two files provably misses it.
     helpers = parse_program(files["helpers.mc"], "helpers.mc")
     from repro import analyze_program
@@ -471,19 +471,19 @@ def test_fast_update_report_byte_identical_to_cold(tmp_path):
     files = make_project(n_files=100)
     root = str(tmp_path / "proj")
     write_project(files, root)
-    with ProjectSession(root, store=False) as session:
-        session.update_all()
-        for i in (1, 2, 3):
-            edited = files["m050.mc"].replace(
-                "v += 50;", f"v += 50;\n    v += {i};", 1)
-            _write(root, "m050.mc", edited)
-            delta = session.update_file("m050.mc")
-            assert delta.changed == ("m50_f0",)
-        assert session.fast_updates >= 1
-        warm_bytes = render_json(session.report)
-    with ProjectSession(root, store=False) as cold:
-        cold.update_all()
-        cold_bytes = render_json(cold.report)
+    session = ProjectSession(root, store=False)
+    session.update_all()
+    for i in (1, 2, 3):
+        edited = files["m050.mc"].replace(
+            "v += 50;", f"v += 50;\n    v += {i};", 1)
+        _write(root, "m050.mc", edited)
+        delta = session.update_file("m050.mc")
+        assert delta.changed == ("m50_f0",)
+    assert session.fast_updates >= 1
+    warm_bytes = render_json(session.report)
+    cold = ProjectSession(root, store=False)
+    cold.update_all()
+    cold_bytes = render_json(cold.report)
     assert warm_bytes == cold_bytes
 
 
@@ -491,16 +491,16 @@ def test_checked_memo_is_lru_not_fifo(project):
     """The semantic-check memo must evict by recency: a function object
     probed on every update stays resident however many new objects pass
     through."""
-    with ProjectSession(project, store=False) as session:
-        session._CHECKED_LIMIT = 4
-        hot, *rest = [object() for _ in range(8)]
-        session._note_checked([hot])
-        for cold_obj in rest:
-            assert session._checked_probe(hot)      # keeps `hot` recent
-            session._note_checked([cold_obj])
-        assert len(session._checked) == 4
-        assert session._checked_probe(hot)          # survived 7 insertions
-        assert not session._checked_probe(rest[0])  # FIFO victim was oldest
+    session = ProjectSession(project, store=False)
+    session._CHECKED_LIMIT = 4
+    hot, *rest = [object() for _ in range(8)]
+    session._note_checked([hot])
+    for cold_obj in rest:
+        assert session._checked_probe(hot)      # keeps `hot` recent
+        session._note_checked([cold_obj])
+    assert len(session._checked) == 4
+    assert session._checked_probe(hot)          # survived 7 insertions
+    assert not session._checked_probe(rest[0])  # FIFO victim was oldest
 
 
 def test_collective_funcs_tracks_callgraph_fixpoint(tmp_path):
@@ -512,26 +512,26 @@ def test_collective_funcs_tracks_callgraph_fixpoint(tmp_path):
     files = make_project(n_files=100)
     root = str(tmp_path / "proj")
     write_project(files, root)
-    with ProjectSession(root, store=False) as session:
-        session.update_all()
-        assert session._collective_funcs == collective_call_graph(
-            session._program)
-        # Cut the f0 chain at m50: m0_f0 … m50_f0 all lose collective
-        # reachability (the Allreduce sits in the last file's leaves).
-        cut = files["m050.mc"].replace("v = m51_f0(v);", "v += 1;", 1)
-        _write(root, "m050.mc", cut)
-        delta = session.update_file("m050.mc")
-        assert delta.changed == ("m50_f0",)
-        expected = collective_call_graph(session._program)
-        assert session._collective_funcs == expected
-        assert "m50_f0" not in session._collective_funcs
-        assert "m49_f0" not in session._collective_funcs
-        # Restore the call: everything flips back.
-        _write(root, "m050.mc", files["m050.mc"])
-        session.update_file("m050.mc")
-        assert session._collective_funcs == collective_call_graph(
-            session._program)
-        assert "m49_f0" in session._collective_funcs
+    session = ProjectSession(root, store=False)
+    session.update_all()
+    assert session._collective_funcs == collective_call_graph(
+        session._program)
+    # Cut the f0 chain at m50: m0_f0 … m50_f0 all lose collective
+    # reachability (the Allreduce sits in the last file's leaves).
+    cut = files["m050.mc"].replace("v = m51_f0(v);", "v += 1;", 1)
+    _write(root, "m050.mc", cut)
+    delta = session.update_file("m050.mc")
+    assert delta.changed == ("m50_f0",)
+    expected = collective_call_graph(session._program)
+    assert session._collective_funcs == expected
+    assert "m50_f0" not in session._collective_funcs
+    assert "m49_f0" not in session._collective_funcs
+    # Restore the call: everything flips back.
+    _write(root, "m050.mc", files["m050.mc"])
+    session.update_file("m050.mc")
+    assert session._collective_funcs == collective_call_graph(
+        session._program)
+    assert "m49_f0" in session._collective_funcs
 
 
 def test_recursive_and_expression_collectives_fixpoint(tmp_path):
@@ -561,23 +561,23 @@ def test_recursive_and_expression_collectives_fixpoint(tmp_path):
            "    MPI_Finalize();\n"
            "}\n")
     root = str(tmp_path)
-    with ProjectSession(root, store=False) as session:
-        session.update_all()
-        expected = collective_call_graph(session._program)
-        assert session._collective_funcs == expected
-        assert {"spin", "wrap", "main"} <= expected
-        assert "dead" not in expected
-        # Drop the barrier out of the recursive cycle: the whole chain
-        # (cycle included) must flip off.
-        _write(tmp_path, "rec.mc",
-               "int spin(int v) {\n"
-               "    if (v > 0) { v = spin(v - 1); }\n"
-               "    return v;\n"
-               "}\n")
-        session.update_file("rec.mc")
-        expected = collective_call_graph(session._program)
-        assert session._collective_funcs == expected
-        assert "spin" not in expected and "wrap" not in expected
+    session = ProjectSession(root, store=False)
+    session.update_all()
+    expected = collective_call_graph(session._program)
+    assert session._collective_funcs == expected
+    assert {"spin", "wrap", "main"} <= expected
+    assert "dead" not in expected
+    # Drop the barrier out of the recursive cycle: the whole chain
+    # (cycle included) must flip off.
+    _write(tmp_path, "rec.mc",
+           "int spin(int v) {\n"
+           "    if (v > 0) { v = spin(v - 1); }\n"
+           "    return v;\n"
+           "}\n")
+    session.update_file("rec.mc")
+    expected = collective_call_graph(session._program)
+    assert session._collective_funcs == expected
+    assert "spin" not in expected and "wrap" not in expected
 
 
 # -- serve front end ----------------------------------------------------------------
@@ -585,10 +585,10 @@ def test_recursive_and_expression_collectives_fixpoint(tmp_path):
 
 def _serve(project_root, script, **kwargs):
     out = io.StringIO()
-    with ProjectSession(project_root, **kwargs.pop("session_kwargs", {})) \
-            as session:
-        code = run_project_serve(session, stdin=io.StringIO(script),
-                                 stdout=out, **kwargs)
+    session = ProjectSession(project_root,
+                             **kwargs.pop("session_kwargs", {}))
+    code = run_project_serve(session, stdin=io.StringIO(script),
+                             stdout=out, **kwargs)
     assert code == 0
     return [json.loads(line) for line in out.getvalue().splitlines()]
 
@@ -608,16 +608,16 @@ def test_serve_open_edit_stats_quit(project):
 
 def test_serve_patched_edit_answers_from_cache(project):
     out = io.StringIO()
-    with ProjectSession(project) as session:
-        run_project_serve(session,
-                          stdin=io.StringIO("@1 analyze\nquit\n"),
-                          stdout=out)
-        misses = session.engine.stats.misses
-        _write(project, "util.mc", "// shifted\n" + UTIL)
-        run_project_serve(session,
-                          stdin=io.StringIO("@2 edit util.mc\nquit\n"),
-                          stdout=out)
-        assert session.engine.stats.misses == misses
+    session = ProjectSession(project)
+    run_project_serve(session,
+                      stdin=io.StringIO("@1 analyze\nquit\n"),
+                      stdout=out)
+    misses = session.engine.stats.misses
+    _write(project, "util.mc", "// shifted\n" + UTIL)
+    run_project_serve(session,
+                      stdin=io.StringIO("@2 edit util.mc\nquit\n"),
+                      stdout=out)
+    assert session.engine.stats.misses == misses
     docs = [json.loads(line) for line in out.getvalue().splitlines()]
     inc = docs[1]["summary"]["incremental"]
     assert inc["patched"] == ["bump", "plain"]
@@ -653,8 +653,8 @@ def test_serve_manifest_fault_is_an_error_not_a_crash(project, monkeypatch):
     # Truncating the manifest mid-read surfaces as ManifestError (possibly
     # a still-valid prefix parse) — never a crash.
     try:
-        with ProjectSession(project) as session:
-            session.update_all()
+        session = ProjectSession(project)
+        session.update_all()
     except ManifestError:
         pass
 
@@ -662,31 +662,31 @@ def test_serve_manifest_fault_is_an_error_not_a_crash(project, monkeypatch):
 def test_serve_shard_lock_fault_does_not_fail_analysis(project, monkeypatch):
     monkeypatch.setenv("PARCOACH_FAULTS", "project.shard_lock:1=oserror")
     clear_plan()
-    with ProjectSession(project) as session:
-        delta = session.update_all()
-        assert delta.findings_total == 1
-        # One write was sacrificed, the rest went through.
-        assert session.engine.stats.store_writes < session.engine.stats.misses
+    session = ProjectSession(project)
+    delta = session.update_all()
+    assert delta.findings_total == 1
+    # One write was sacrificed, the rest went through.
+    assert session.engine.stats.store_writes < session.engine.stats.misses
 
 
 def test_patch_fault_self_heals_in_serve(project, monkeypatch):
-    with ProjectSession(project) as session:
-        out = io.StringIO()
-        run_project_serve(session, stdin=io.StringIO("analyze\nquit\n"),
-                          stdout=out)
-        monkeypatch.setenv("PARCOACH_FAULTS", "project.patch:1=exception")
-        clear_plan()
-        _write(project, "util.mc", "// shifted\n" + UTIL)
-        out = io.StringIO()
-        run_project_serve(session,
-                          stdin=io.StringIO("@p edit util.mc\nquit\n"),
-                          stdout=out)
-        doc = json.loads(out.getvalue().splitlines()[0])
-        # The crashed patch recovers (file evicted, re-read cold) and the
-        # answer is still the correct post-edit state.
-        assert doc["request_id"] == "p"
-        assert doc["summary"]["incremental"]["findings_total"] == 1
-        assert session.recoveries >= 1
+    session = ProjectSession(project)
+    out = io.StringIO()
+    run_project_serve(session, stdin=io.StringIO("analyze\nquit\n"),
+                      stdout=out)
+    monkeypatch.setenv("PARCOACH_FAULTS", "project.patch:1=exception")
+    clear_plan()
+    _write(project, "util.mc", "// shifted\n" + UTIL)
+    out = io.StringIO()
+    run_project_serve(session,
+                      stdin=io.StringIO("@p edit util.mc\nquit\n"),
+                      stdout=out)
+    doc = json.loads(out.getvalue().splitlines()[0])
+    # The crashed patch recovers (file evicted, re-read cold) and the
+    # answer is still the correct post-edit state.
+    assert doc["request_id"] == "p"
+    assert doc["summary"]["incremental"]["findings_total"] == 1
+    assert session.recoveries >= 1
 
 
 def test_serve_deadline_ladder(project):
@@ -713,41 +713,41 @@ def test_serve_xxl_edit_rename_close_sublinear(tmp_path):
     write_project(files, root)
     _write(root, "solo.mc", "int solo(int v) { return v; }\n")
     out = io.StringIO()
-    with ProjectSession(root, store=False) as session:
-        run_project_serve(session, stdin=io.StringIO("@1 analyze\nquit\n"),
-                          stdout=out)
-        total_funcs = len(session._fingerprints)
-        assert total_funcs > 2000
-        misses = session.engine.stats.misses
+    session = ProjectSession(root, store=False)
+    run_project_serve(session, stdin=io.StringIO("@1 analyze\nquit\n"),
+                      stdout=out)
+    total_funcs = len(session._fingerprints)
+    assert total_funcs > 2000
+    misses = session.engine.stats.misses
 
-        # Whole-chunk line shift: the answer comes from patched artifacts.
-        _write(root, "m500.mc", "// pad line\n" + files["m500.mc"])
-        run_project_serve(session,
-                          stdin=io.StringIO("@2 edit m500.mc\nquit\n"),
-                          stdout=out)
-        assert session.engine.stats.misses == misses
+    # Whole-chunk line shift: the answer comes from patched artifacts.
+    _write(root, "m500.mc", "// pad line\n" + files["m500.mc"])
+    run_project_serve(session,
+                      stdin=io.StringIO("@2 edit m500.mc\nquit\n"),
+                      stdout=out)
+    assert session.engine.stats.misses == misses
 
-        # One-function edit: sub-linear re-analysis, O(project) reuse.
-        reuses = session.engine.stats.assembly_reuses
-        edited = files["m500.mc"].replace(
-            "v += 500;", "v += 500;\n    v += 9;", 1)
-        _write(root, "m500.mc", edited)
-        run_project_serve(
-            session, stdin=io.StringIO("@3 edit m500.mc\n@4 stats\nquit\n"),
-            stdout=out)
-        assert session.engine.stats.misses - misses < total_funcs // 10
-        assert (session.engine.stats.assembly_reuses - reuses
-                >= total_funcs - 100)
+    # One-function edit: sub-linear re-analysis, O(project) reuse.
+    reuses = session.engine.stats.assembly_reuses
+    edited = files["m500.mc"].replace(
+        "v += 500;", "v += 500;\n    v += 9;", 1)
+    _write(root, "m500.mc", edited)
+    run_project_serve(
+        session, stdin=io.StringIO("@3 edit m500.mc\n@4 stats\nquit\n"),
+        stdout=out)
+    assert session.engine.stats.misses - misses < total_funcs // 10
+    assert (session.engine.stats.assembly_reuses - reuses
+            >= total_funcs - 100)
 
-        os.rename(os.path.join(root, "m500.mc"),
-                  os.path.join(root, "m500x.mc"))
-        run_project_serve(
-            session, stdin=io.StringIO("@5 rename m500.mc m500x.mc\nquit\n"),
-            stdout=out)
-        run_project_serve(session,
-                          stdin=io.StringIO("@6 close solo.mc\nquit\n"),
-                          stdout=out)
-        assert "m500x.mc" in session._files and "m500.mc" not in session._files
+    os.rename(os.path.join(root, "m500.mc"),
+              os.path.join(root, "m500x.mc"))
+    run_project_serve(
+        session, stdin=io.StringIO("@5 rename m500.mc m500x.mc\nquit\n"),
+        stdout=out)
+    run_project_serve(session,
+                      stdin=io.StringIO("@6 close solo.mc\nquit\n"),
+                      stdout=out)
+    assert "m500x.mc" in session._files and "m500.mc" not in session._files
     docs = {d["request_id"]: d
             for d in (json.loads(line)
                       for line in out.getvalue().splitlines())}

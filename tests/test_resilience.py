@@ -1,16 +1,13 @@
-"""Resilience layer: deterministic fault injection, retry/backoff and
-deadlines, engine pool fault tolerance, the serve self-heal ladder, and
-fuzz campaign survivability (seed timeouts, checkpoint/resume)."""
+"""Resilience layer: deterministic fault injection, deadlines, the serve
+self-heal ladder, and fuzz campaign survivability (seed timeouts,
+checkpoint/resume)."""
 
 import io
 import json
-import pickle
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.core.engine import AnalysisEngine, EngineStats
+from repro.core.engine import EngineStats
 from repro.core.report import validate_report
 from repro.core.session import AnalysisSession, run_serve, run_watch
 from repro.fuzz.campaign import (
@@ -19,7 +16,6 @@ from repro.fuzz.campaign import (
     run_fuzz,
     write_checkpoint,
 )
-from repro.minilang.parser import parse_program
 from repro.util.faultinject import (
     SITES,
     FaultPlan,
@@ -34,8 +30,6 @@ from repro.util.resilience import (
     Deadline,
     DeadlineExceeded,
     Failure,
-    RetryPolicy,
-    retry,
 )
 
 BASE = """
@@ -77,7 +71,7 @@ class FakeClock:
         return self.now
 
 
-# -- Deadline / retry / Failure -----------------------------------------------------
+# -- Deadline / Failure -----------------------------------------------------------
 
 
 def test_deadline_expiry_is_deterministic_with_fake_clock():
@@ -101,53 +95,6 @@ def test_deadline_after_ms_and_remaining():
     assert not deadline.expired
 
 
-def test_retry_policy_backoff_sequence_is_jitter_free():
-    policy = RetryPolicy(attempts=6, base_delay=0.05, multiplier=2.0,
-                         max_delay=0.3)
-    delays = [policy.delay(k) for k in range(1, 6)]
-    assert delays == [0.05, 0.1, 0.2, 0.3, 0.3]
-
-
-def test_retry_recovers_and_records_structured_failures():
-    calls = []
-    slept = []
-    failures = []
-
-    def flaky():
-        calls.append(1)
-        if len(calls) < 3:
-            raise ValueError(f"boom {len(calls)}")
-        return "ok"
-
-    result = retry(flaky, RetryPolicy(attempts=4, base_delay=0.01),
-                   site="test.flaky", sleep=slept.append,
-                   failures=failures)
-    assert result == "ok"
-    assert slept == [0.01, 0.02]
-    assert [f.attempt for f in failures] == [1, 2]
-    assert failures[0].site == "test.flaky"
-    assert failures[0].error_type == "ValueError"
-
-
-def test_retry_reraises_after_final_attempt():
-    slept = []
-    with pytest.raises(ValueError):
-        retry(lambda: (_ for _ in ()).throw(ValueError("always")),
-              RetryPolicy(attempts=3, base_delay=0.01), sleep=slept.append)
-    assert len(slept) == 2  # no sleep after the last failure
-
-
-def test_retry_gives_up_when_deadline_expired():
-    clock = FakeClock(step=1.0)
-    deadline = Deadline(0.5, clock=clock)  # expired after first tick
-    slept = []
-    with pytest.raises(ValueError):
-        retry(lambda: (_ for _ in ()).throw(ValueError("x")),
-              RetryPolicy(attempts=5, base_delay=0.01), sleep=slept.append,
-              deadline=deadline)
-    assert slept == []  # no sleeping toward a lost budget
-
-
 def test_failure_digest_is_stable_and_dict_round_trips():
     try:
         raise RuntimeError("same message")
@@ -166,9 +113,9 @@ def test_failure_digest_is_stable_and_dict_round_trips():
 
 def test_fault_plan_parse_defaults_and_hits():
     plan = FaultPlan.parse(
-        "session.analyze=exception, engine.pool.submit:3=broken_pool")
+        "session.analyze=exception, engine.task:3=oserror")
     assert plan.rules["session.analyze"][1] == "exception"
-    assert plan.rules["engine.pool.submit"][3] == "broken_pool"
+    assert plan.rules["engine.task"][3] == "oserror"
 
 
 @pytest.mark.parametrize("spec", [
@@ -196,12 +143,11 @@ def test_fault_fires_on_exact_hit_only():
 
 def test_fault_kinds_raise_their_exception_classes():
     plan = FaultPlan.parse(
-        "session.read_file:1=oserror,session.read_file:2=broken_pool,"
-        "session.read_file:3=pickling,session.read_file:4=timeout,"
-        "session.read_file:5=keyboard")
+        "session.read_file:1=exception,session.read_file:2=oserror,"
+        "session.read_file:3=timeout,session.read_file:4=keyboard")
     install_plan(plan)
-    for expected in (OSError, BrokenProcessPool, pickle.PicklingError,
-                     DeadlineExceeded, KeyboardInterrupt):
+    for expected in (InjectedFault, OSError, DeadlineExceeded,
+                     KeyboardInterrupt):
         with pytest.raises(expected):
             fault_site("session.read_file")
 
@@ -224,92 +170,20 @@ def test_plan_loads_lazily_from_environment(monkeypatch):
     assert plan is not None and plan.rules["store.evict"][7] == "oserror"
 
 
-# -- engine pool fault tolerance ----------------------------------------------------
-
-
-def _analyze_counts(program):
-    with AnalysisEngine(jobs=1) as engine:
-        return len(engine.analyze(program).diagnostics)
-
-
-def test_pool_failure_respawns_and_result_is_identical():
-    program = parse_program(BASE, "p.mc")
-    expected = _analyze_counts(program)
-    install_plan(FaultPlan.parse("engine.pool.submit:1=broken_pool"))
-    slept = []
-    with AnalysisEngine(jobs=2) as engine:
-        engine._sleep = slept.append
-        analysis = engine.analyze(program)
-        assert len(analysis.diagnostics) == expected
-        assert engine.stats.pool_failures == 1
-        assert engine.stats.pool_respawns == 1
-        assert engine.stats.degraded_serial == 0
-    assert slept == [engine.POOL_RETRY.delay(1)]
-
-
-def test_pool_respawn_budget_exhausted_degrades_to_serial():
-    program = parse_program(BASE, "p.mc")
-    expected = _analyze_counts(program)
-    install_plan(FaultPlan.parse(
-        "engine.pool.submit:1=broken_pool,engine.pool.submit:2=oserror,"
-        "engine.pool.submit:3=pickling"))
-    with AnalysisEngine(jobs=2) as engine:
-        engine._sleep = lambda _d: None
-        analysis = engine.analyze(program)
-        assert len(analysis.diagnostics) == expected
-        assert engine.stats.pool_failures == 3
-        assert engine.stats.pool_respawns == 2
-        assert engine.stats.degraded_serial == 1
-
-
-class _HungFuture:
-    def result(self, timeout=None):
-        raise FutureTimeoutError()
-
-
-class _HungPool:
-    """A pool whose every task blows its deadline."""
-
-    def submit(self, *_args, **_kwargs):
-        return _HungFuture()
-
-    def map(self, *_args, **_kwargs):  # pragma: no cover - timeout path
-        raise AssertionError("task_timeout engines must use submit()")
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
-def test_task_timeout_counts_pool_failure_and_respawns():
-    program = parse_program(BASE, "p.mc")
-    expected = _analyze_counts(program)
-    with AnalysisEngine(jobs=2, task_timeout=30.0) as engine:
-        engine._sleep = lambda _d: None
-        engine._pool = _HungPool()  # first attempt times out, respawn is real
-        analysis = engine.analyze(program)
-        assert len(analysis.diagnostics) == expected
-        assert engine.stats.pool_failures == 1
-        assert engine.stats.pool_respawns == 1
-
-
 def test_engine_stats_round_trip_with_resilience_counters():
-    stats = EngineStats(pool_failures=3, pool_respawns=2, degraded_serial=1)
+    stats = EngineStats(store_hits=3, store_misses=2, store_writes=1)
     doc = json.loads(json.dumps(stats.as_dict()))
-    restored = EngineStats.from_dict(doc)
-    assert restored.pool_failures == 3
-    assert restored.pool_respawns == 2
-    assert restored.degraded_serial == 1
-    # Old documents (pre-resilience) still load: counters default to 0.
-    for key in ("pool_failures", "pool_respawns", "degraded_serial"):
-        doc.pop(key)
-    legacy = EngineStats.from_dict(doc)
-    assert legacy.pool_failures == 0
+    assert EngineStats.from_dict(doc) == stats
+    # Documents written before the process pool was removed still load:
+    # their pool counters are ignored.
+    doc.update(pool_failures=3, pool_respawns=2, degraded_serial=1,
+               parallel_tasks=7)
+    assert EngineStats.from_dict(doc) == stats
 
 
 # -- the serve chaos gate: every site, one at a time --------------------------------
 
-#: Sites the serve script below reaches with jobs=1.  ``engine.pool.submit``
-#: is covered separately (needs a pool); all are members of the registry.
+#: Sites the serve script below reaches; all are members of the registry.
 SERVE_SITES = (
     "session.read_file",
     "session.parse_chunk",
@@ -341,10 +215,10 @@ def test_serve_survives_injected_fault_at_every_site(tmp_path, site):
     plan = FaultPlan.parse(f"{site}:1=exception")
     install_plan(plan)
     out = io.StringIO()
-    with AnalysisSession() as session:
-        code = run_serve(session, stdin=_serve_script(path_a, path_b),
-                         stdout=out)
-        recoveries = session.recoveries
+    session = AnalysisSession()
+    code = run_serve(session, stdin=_serve_script(path_a, path_b),
+                     stdout=out)
+    recoveries = session.recoveries
     assert code == 0
     lines = out.getvalue().splitlines()
     assert len(lines) == 3  # one response per analyze, no dead server
@@ -360,11 +234,11 @@ def test_serve_double_fault_escalates_to_rebuild(tmp_path):
     install_plan(FaultPlan.parse(
         "session.analyze:1=exception,session.analyze:2=exception"))
     out = io.StringIO()
-    with AnalysisSession() as session:
-        code = run_serve(session, stdin=iter([f"analyze {path}\n"]),
-                         stdout=out)
-        assert session.recoveries == 1
-        assert session.rebuilds == 1
+    session = AnalysisSession()
+    code = run_serve(session, stdin=iter([f"analyze {path}\n"]),
+                     stdout=out)
+    assert session.recoveries == 1
+    assert session.rebuilds == 1
     assert code == 0
     doc = json.loads(out.getvalue())
     assert doc["verdict"] != "error"  # third attempt succeeded
@@ -377,12 +251,12 @@ def test_serve_triple_fault_answers_internal_error_and_keeps_serving(tmp_path):
         "session.analyze:1=exception,session.analyze:2=exception,"
         "session.analyze:3=exception"))
     out = io.StringIO()
-    with AnalysisSession() as session:
-        code = run_serve(
-            session,
-            stdin=iter([f"analyze {path}\n", f"analyze {path}\n", "quit\n"]),
-            stdout=out)
-        failures = list(session.failures)
+    session = AnalysisSession()
+    code = run_serve(
+        session,
+        stdin=iter([f"analyze {path}\n", f"analyze {path}\n", "quit\n"]),
+        stdout=out)
+    failures = list(session.failures)
     assert code == 0
     first, second = [json.loads(l) for l in out.getvalue().splitlines()]
     assert validate_report(first) == []
@@ -399,9 +273,9 @@ def test_serve_truncated_read_is_a_session_error_report(tmp_path):
     path.write_text(BASE)
     install_plan(FaultPlan.parse("session.read_file:1=truncate"))
     out = io.StringIO()
-    with AnalysisSession() as session:
-        code = run_serve(session, stdin=iter([f"analyze {path}\n", "quit\n"]),
-                         stdout=out)
+    session = AnalysisSession()
+    code = run_serve(session, stdin=iter([f"analyze {path}\n", "quit\n"]),
+                     stdout=out)
     assert code == 0
     doc = json.loads(out.getvalue())
     assert doc["verdict"] == "error"  # half a file does not parse
@@ -413,10 +287,10 @@ def test_serve_emit_fault_still_writes_exactly_one_line(tmp_path):
     path.write_text(BASE)
     install_plan(FaultPlan.parse("serve.emit:1=truncate"))
     out = io.StringIO()
-    with AnalysisSession() as session:
-        code = run_serve(session, stdin=iter([f"analyze {path}\n", "quit\n"]),
-                         stdout=out)
-        assert session.recoveries == 1
+    session = AnalysisSession()
+    code = run_serve(session, stdin=iter([f"analyze {path}\n", "quit\n"]),
+                     stdout=out)
+    assert session.recoveries == 1
     assert code == 0
     lines = out.getvalue().splitlines()
     assert len(lines) == 1
@@ -428,9 +302,9 @@ def test_serve_keyboard_interrupt_mid_request_exits_zero(tmp_path):
     path.write_text(BASE)
     install_plan(FaultPlan.parse("session.read_file:1=keyboard"))
     out = io.StringIO()
-    with AnalysisSession() as session:
-        code = run_serve(session, stdin=iter([f"analyze {path}\n"]),
-                         stdout=out)
+    session = AnalysisSession()
+    code = run_serve(session, stdin=iter([f"analyze {path}\n"]),
+                     stdout=out)
     assert code == 0
 
 
@@ -442,9 +316,9 @@ def test_watch_keyboard_interrupt_inside_update_returns_zero(tmp_path):
     path.write_text(BASE)
     install_plan(FaultPlan.parse("session.read_file:1=keyboard"))
     out = io.StringIO()
-    with AnalysisSession() as session:
-        code = run_watch(session, str(path), interval=0,
-                         stdout=out, sleep=lambda _s: None)
+    session = AnalysisSession()
+    code = run_watch(session, str(path), interval=0,
+                     stdout=out, sleep=lambda _s: None)
     assert code == 0
     assert out.getvalue() == ""
 
@@ -454,10 +328,10 @@ def test_watch_self_heals_unexpected_exception(tmp_path):
     path.write_text(BASE)
     install_plan(FaultPlan.parse("session.analyze:1=exception"))
     out = io.StringIO()
-    with AnalysisSession() as session:
-        code = run_watch(session, str(path), interval=0, max_updates=2,
-                         stdout=out, sleep=lambda _s: None)
-        assert session.recoveries == 1
+    session = AnalysisSession()
+    code = run_watch(session, str(path), interval=0, max_updates=2,
+                     stdout=out, sleep=lambda _s: None)
+    assert session.recoveries == 1
     assert code == 0
     error, good = [json.loads(l) for l in out.getvalue().splitlines()]
     assert error["verdict"] == "error"

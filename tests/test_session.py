@@ -317,8 +317,8 @@ def test_serve_protocol(tmp_path):
     commands = io.StringIO(
         f"analyze {path}\nstats\nanalyze {path}\nbogus\nquit\n")
     out = io.StringIO()
-    with AnalysisSession() as session:
-        code = run_serve(session, stdin=commands, stdout=out)
+    session = AnalysisSession()
+    code = run_serve(session, stdin=commands, stdout=out)
     assert code == 0
     lines = [json.loads(line) for line in out.getvalue().splitlines()]
     assert len(lines) == 4
@@ -335,8 +335,8 @@ def test_serve_emits_only_changed_findings(tmp_path):
     path.write_text(GUARDED)
     commands = io.StringIO(f"analyze {path}\nanalyze {path}\nquit\n")
     out = io.StringIO()
-    with AnalysisSession() as session:
-        run_serve(session, stdin=commands, stdout=out)
+    session = AnalysisSession()
+    run_serve(session, stdin=commands, stdout=out)
     first, second = [json.loads(line) for line in out.getvalue().splitlines()]
     assert len(first["findings"]) == 1
     assert second["findings"] == []  # unchanged: re-emits nothing
@@ -352,8 +352,8 @@ def test_serve_survives_broken_file(tmp_path):
         f"analyze {path}\nanalyze {tmp_path / 'missing.mc'}\n"
         f"analyze {path}\nquit\n")
     out = io.StringIO()
-    with AnalysisSession() as session:
-        code = run_serve(session, stdin=commands, stdout=out)
+    session = AnalysisSession()
+    code = run_serve(session, stdin=commands, stdout=out)
     assert code == 0
     lines = [json.loads(line) for line in out.getvalue().splitlines()]
     assert [doc["verdict"] for doc in lines] == ["clean", "error", "clean"]
@@ -371,9 +371,9 @@ def test_watch_reacts_to_edits(tmp_path):
 
     editor = threading.Thread(target=edit_soon)
     editor.start()
-    with AnalysisSession() as session:
-        code = run_watch(session, str(path), interval=0.05, max_updates=2,
-                         stdout=out)
+    session = AnalysisSession()
+    code = run_watch(session, str(path), interval=0.05, max_updates=2,
+                     stdout=out)
     editor.join()
     assert code == 0
     docs = [json.loads(line) for line in out.getvalue().splitlines()]
@@ -421,8 +421,8 @@ def test_serve_ping_and_request_id_echo(tmp_path):
     path.write_text(BASE)
     script = io.StringIO(f"ping\n@42 ping\n@a1 analyze {path}\nquit\n")
     out = io.StringIO()
-    with AnalysisSession() as session:
-        code = run_serve(session, stdin=script, stdout=out)
+    session = AnalysisSession()
+    code = run_serve(session, stdin=script, stdout=out)
     assert code == 0
     plain, tagged, analyzed = [json.loads(line)
                                for line in out.getvalue().splitlines()]
@@ -438,8 +438,8 @@ def test_serve_ping_and_request_id_echo(tmp_path):
 
 def test_serve_request_id_with_empty_command_is_an_error_report():
     out = io.StringIO()
-    with AnalysisSession() as session:
-        code = run_serve(session, stdin=io.StringIO("@7\nquit\n"), stdout=out)
+    session = AnalysisSession()
+    code = run_serve(session, stdin=io.StringIO("@7\nquit\n"), stdout=out)
     assert code == 0
     doc = json.loads(out.getvalue())
     assert doc["request_id"] == "7"
@@ -456,11 +456,11 @@ def test_serve_deadline_expiry_degrades_but_still_answers(tmp_path):
     # expires), then the cold no-deadline analysis that always answers.
     clock = _StepClock(step=0.06)
     out = io.StringIO()
-    with AnalysisSession() as session:
-        code = run_serve(session, stdin=io.StringIO(f"analyze {path}\nquit\n"),
-                         stdout=out, deadline_ms=100.0, clock=clock)
-        assert session.timeouts == 1
-        assert session.degraded == 1
+    session = AnalysisSession()
+    code = run_serve(session, stdin=io.StringIO(f"analyze {path}\nquit\n"),
+                     stdout=out, deadline_ms=100.0, clock=clock)
+    assert session.timeouts == 1
+    assert session.degraded == 1
     assert code == 0
     timeout_doc, final = [json.loads(line)
                           for line in out.getvalue().splitlines()]
@@ -476,11 +476,11 @@ def test_serve_generous_deadline_is_invisible(tmp_path):
     path = tmp_path / "d.mc"
     path.write_text(BASE)
     out = io.StringIO()
-    with AnalysisSession() as session:
-        code = run_serve(session, stdin=io.StringIO(f"analyze {path}\nquit\n"),
-                         stdout=out, deadline_ms=60000.0)
-        assert session.timeouts == 0
-        assert session.degraded == 0
+    session = AnalysisSession()
+    code = run_serve(session, stdin=io.StringIO(f"analyze {path}\nquit\n"),
+                     stdout=out, deadline_ms=60000.0)
+    assert session.timeouts == 0
+    assert session.degraded == 0
     assert code == 0
     assert len(out.getvalue().splitlines()) == 1  # just the delta report
 
@@ -500,9 +500,9 @@ def test_watch_dedups_errors_and_reemits_on_change(tmp_path):
         elif polls["n"] == 6:
             path.write_text(BASE)  # recovered
 
-    with AnalysisSession() as session:
-        code = run_watch(session, str(path), interval=0, max_updates=3,
-                         stdout=out, sleep=fake_sleep)
+    session = AnalysisSession()
+    code = run_watch(session, str(path), interval=0, max_updates=3,
+                     stdout=out, sleep=fake_sleep)
     assert code == 0
     docs = [json.loads(line) for line in out.getvalue().splitlines()]
     assert len(docs) == 3  # errA once, errB once, recovery delta once
