@@ -143,25 +143,45 @@ from .core import AnalysisEngine, analyze_program, instrument_program, render_re
 from .core.callgraph import callgraph_to_dot
 from .core.driver import build_plan
 from .core.sites import index_program
-from .minilang.parser import parse_program
+from .minilang.parser import ParseError, parse_program
 from .minilang.pretty import pretty
 from .minilang.semantics import check_program
+from .minilang.tokens import LexError
 from .mpi.thread_levels import ThreadLevel
 from .parallelism import EMPTY, format_word, parse_word
 from .runtime import run_program
 from .runtime.errors import ValidationError
 
 
+class InputError(Exception):
+    """An input file the CLI cannot analyze: unreadable, not UTF-8,
+    unparseable or semantically invalid.  ``messages`` are the
+    ``FILE[:LINE:COL]: error: ...`` lines for stderr."""
+
+    def __init__(self, path: str, messages: List[str]) -> None:
+        super().__init__("\n".join(messages))
+        self.path = path
+        self.messages = messages
+
+
 def _load(path: str, want_source: bool = False):
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    program = parse_program(source, path)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            source = handle.read()
+    except OSError as exc:
+        raise InputError(path, [f"{path}: error: {exc.strerror or exc}"])
+    except UnicodeDecodeError as exc:
+        raise InputError(path, [f"{path}: error: {exc}"])
+    try:
+        program = parse_program(source, path)
+    except (LexError, ParseError) as exc:
+        # Both render as "LINE:COL: MSG".
+        where, _, message = str(exc).partition(": ")
+        raise InputError(path, [f"{path}:{where}: error: {message}"])
     issues = check_program(program)
     errors = [i for i in issues if i.severity == "error"]
     if errors:
-        for issue in errors:
-            print(f"{path}:{issue}", file=sys.stderr)
-        raise SystemExit(2)
+        raise InputError(path, [f"{path}:{issue}" for issue in errors])
     for issue in issues:
         if issue.severity == "warning":
             print(f"{path}:{issue}", file=sys.stderr)
@@ -887,11 +907,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point.  Normalizes every exit path onto the documented
-    0/1/2 contract — including argparse usage errors and the semantic-error
-    abort in ``_load``, which raise ``SystemExit`` internally."""
+    0/1/2 contract — including argparse usage errors, which raise
+    ``SystemExit`` internally, and bad input files: those print
+    ``FILE[:LINE:COL]: error: MSG`` lines, and with ``--json`` one
+    ``error`` Report IR document, then exit 2."""
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
+    except InputError as exc:
+        for message in exc.messages:
+            print(message, file=sys.stderr)
+        if getattr(args, "json", False):
+            from .core.report import render_json, source_stamp
+            from .core.session import error_report
+
+            print(render_json(error_report(
+                args.command, source_stamp(exc.path, None), exc.messages)),
+                end="")
+        return 2
     except SystemExit as exc:
         code = exc.code
         if code is None:

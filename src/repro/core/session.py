@@ -53,7 +53,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..minilang import ast_nodes as A
 from ..minilang.parser import parse_program
@@ -644,22 +644,21 @@ class AnalysisSession:
 
 
 # ---------------------------------------------------------------------------
-# serve / watch front ends
+# The serve request loop, shared by ``serve`` and ``project serve``
 # ---------------------------------------------------------------------------
 
 
-def _error_report(path: Optional[str], messages: List[str],
-                  tool: str = "serve") -> dict:
-    return build_report(tool, source=source_stamp(path, None), findings=[],
-                        verdict="error",
+def error_report(tool: str, source: Optional[dict],
+                 messages: List[str]) -> dict:
+    """A request that could not be answered (bad input, bad request)."""
+    return build_report(tool, source=source, findings=[], verdict="error",
                         summary={"errors": list(messages)})
 
 
-def _timeout_report(path: str, exc: DeadlineExceeded,
-                    deadline_ms: float) -> dict:
+def timeout_report(tool: str, source: Optional[dict],
+                   exc: DeadlineExceeded, deadline_ms: float) -> dict:
     return build_report(
-        "serve", source=source_stamp(path, None), findings=[],
-        verdict="error",
+        tool, source=source, findings=[], verdict="error",
         summary={
             "errors": [str(exc)],
             "timeout": {
@@ -670,48 +669,83 @@ def _timeout_report(path: str, exc: DeadlineExceeded,
         })
 
 
-def _internal_error_report(path: Optional[str], failure: Failure,
-                           request: str) -> dict:
+def internal_error_report(tool: str, source: Optional[dict],
+                          failure: Failure,
+                          request: Optional[str] = None) -> dict:
     """The catch-all response: *any* unexpected exception becomes a valid
     Report IR line instead of a dead server."""
-    return build_report(
-        "serve", source=source_stamp(path, None), findings=[],
-        verdict="error",
-        summary={
-            "errors": [f"internal error: {failure.error_type}: "
-                       f"{failure.message}"],
-            "failure": failure.as_dict(),
-            "request": request,
-        })
+    summary = {
+        "errors": [f"internal error: {failure.error_type}: "
+                   f"{failure.message}"],
+        "failure": failure.as_dict(),
+    }
+    if request is not None:
+        summary["request"] = request
+    return build_report(tool, source=source, findings=[], verdict="error",
+                        summary=summary)
 
 
-def run_serve(session: AnalysisSession, stdin=None, stdout=None,
-              deadline_ms: Optional[float] = None,
-              clock=time.monotonic) -> int:
-    """The ``parcoach serve`` loop: a line protocol on stdin, one Report IR
-    JSON document per line on stdout.
+class ServeCommand(NamedTuple):
+    """One analysing request kind of a serve front end.
 
-    Commands (any may be prefixed ``@ID`` — the id is echoed back as a
-    top-level ``request_id`` key on every response to that request)::
+    The loop answers it with ``getattr(session, method)(*operands,
+    deadline=..., interprocedural=...)``, which returns an update carrying
+    the ``report`` to send."""
 
-        analyze PATH   (re)analyze PATH incrementally, emit the delta report
-        stats          emit engine + session counters
+    #: Shown as ``usage: ...`` when the operands do not fit ``arity``.
+    usage: str
+    #: 1: the rest of the line is one operand (a path may hold spaces);
+    #: 0: the rest of the line is ignored; n > 1: n words.
+    arity: int
+    method: str
+
+
+def _operands(rest: str, arity: int) -> Optional[Tuple[str, ...]]:
+    if arity == 0:
+        return ()
+    if arity == 1:
+        return (rest,) if rest else None
+    words = tuple(rest.split())
+    return words if len(words) == arity else None
+
+
+#: ``parcoach serve``: one file per request, named by its path.
+SERVE_COMMANDS = {"analyze": ServeCommand("analyze PATH", 1, "update")}
+
+
+def serve_loop(session, commands: Dict[str, ServeCommand], *, tool: str,
+               stamp: Callable[[Optional[str]], Optional[dict]],
+               request_errors: Tuple[type, ...] = (SessionError,),
+               stdin=None, stdout=None,
+               deadline_ms: Optional[float] = None,
+               clock=time.monotonic) -> int:
+    """A line protocol on stdin, one Report IR JSON document per line on
+    stdout.  ``commands`` are the front end's analysing requests; the loop
+    itself answers::
+
+        stats          emit the session's counters
         ping           emit a liveness report (cheap, never analyzes)
         quit           exit 0 (EOF does the same)
 
-    The loop is crash-isolated: no request can kill the server.  A
-    ``SessionError`` is a normal error report; any *other* exception runs
-    the self-heal ladder — invalidate the offending file and retry
-    (``recoveries``), then rebuild the whole session and retry
-    (``rebuilds``), then answer with an ``internal-error`` report carrying
-    a traceback digest.  ``KeyboardInterrupt`` exits 0 cleanly.
+    Any command may be prefixed ``@ID``: the id is echoed back as a
+    top-level ``request_id`` key on every response to that request.
+    ``tool`` names the reports, and ``stamp(path)`` is the ``source`` of a
+    response about ``path`` (``None``: about no file in particular).
+
+    The loop is crash-isolated: no request can kill the server.  An
+    exception in ``request_errors`` is a normal error report; any *other*
+    exception runs the self-heal ladder — recover the request's file and
+    retry (``recoveries``), then rebuild the whole session and retry
+    (``rebuilds``), then answer with an internal-error report carrying a
+    traceback digest.  ``KeyboardInterrupt`` exits 0 cleanly.
 
     ``deadline_ms`` arms a per-request budget: on expiry the request emits
     a ``timeout`` report, then degrades — retry once with the
-    interprocedural plan off, then a cold single-file analysis with no
+    interprocedural plan off, then recover the file and run cold with no
     deadline (``timeouts`` / ``degraded`` counters)."""
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
+    expected = "/".join([*commands, "stats", "ping", "quit"])
 
     def respond(doc: dict, request_id: Optional[str]) -> None:
         if request_id is not None:
@@ -735,41 +769,53 @@ def run_serve(session: AnalysisSession, stdin=None, stdout=None,
         stdout.write(payload)
         stdout.flush()
 
-    def analyze_with_deadline(path: str, request_id: Optional[str]) -> None:
-        """The deadline ladder: emit the delta report, or on budget expiry
-        a timeout report followed by the best degraded answer we can
-        still produce."""
+    def run_with_deadline(run, target: Optional[str],
+                          request_id: Optional[str]) -> None:
+        """The deadline ladder: send the update's report, or on budget
+        expiry a timeout report followed by the best degraded answer we
+        can still produce."""
         if deadline_ms is None:
-            respond(session.update(path).report, request_id)
+            respond(run(None, None).report, request_id)
             return
         try:
-            delta = session.update(
-                path, deadline=Deadline.after_ms(deadline_ms, clock))
+            update = run(Deadline.after_ms(deadline_ms, clock), None)
         except DeadlineExceeded as exc:
             session.timeouts += 1
             session.record_failure(exc.site or "deadline", exc)
-            respond(_timeout_report(path, exc, deadline_ms), request_id)
+            respond(timeout_report(tool, stamp(target), exc, deadline_ms),
+                    request_id)
             try:
-                delta = session.update(
-                    path, deadline=Deadline.after_ms(deadline_ms, clock),
-                    interprocedural=False)
+                update = run(Deadline.after_ms(deadline_ms, clock), False)
             except DeadlineExceeded as exc2:
                 session.record_failure(exc2.site or "deadline", exc2, 2)
-                # Last rung: cold single-file, no deadline — always answers.
-                session.recover_file(path)
-                delta = session.update(path, interprocedural=False)
+                # Last rung: cold, no deadline — always answers.
+                if target is not None:
+                    session.recover_file(target)
+                update = run(None, False)
             session.degraded += 1
-        respond(delta.report, request_id)
+        respond(update.report, request_id)
 
-    def handle_analyze(path: str, request_id: Optional[str],
-                       request: str) -> None:
-        """The self-heal ladder around one analyze request."""
+    def handle(command: ServeCommand, operands: Tuple[str, ...],
+               request_id: Optional[str], request: str) -> None:
+        """The self-heal ladder around one analysing request."""
+        target = operands[0] if operands else None
+
+        def run(deadline, interprocedural):
+            return getattr(session, command.method)(
+                *operands, deadline=deadline,
+                interprocedural=interprocedural)
+
         for attempt in (1, 2, 3):
             try:
-                analyze_with_deadline(path, request_id)
+                run_with_deadline(run, target, request_id)
                 return
-            except SessionError as exc:
-                respond(_error_report(exc.path, exc.messages), request_id)
+            except request_errors as exc:
+                if isinstance(exc, SessionError):
+                    path, messages = exc.path, exc.messages
+                else:
+                    path, messages = target, [str(exc)]
+                respond(error_report(tool, stamp(path), messages),
+                        request_id)
                 return
             except (KeyboardInterrupt, SystemExit):
                 raise
@@ -777,13 +823,15 @@ def run_serve(session: AnalysisSession, stdin=None, stdout=None,
                 failure = session.record_failure("serve.analyze", exc,
                                                  attempt)
                 if attempt == 1:
-                    session.recover_file(path)
+                    if target is not None:
+                        session.recover_file(target)
                     session.recoveries += 1
                 elif attempt == 2:
                     session.rebuild()
                     session.rebuilds += 1
                 else:
-                    respond(_internal_error_report(path, failure, request),
+                    respond(internal_error_report(tool, stamp(target),
+                                                  failure, request),
                             request_id)
                     return
 
@@ -798,16 +846,17 @@ def run_serve(session: AnalysisSession, stdin=None, stdout=None,
                 request_id = head[1:]
                 line = rest.strip()
                 if not line:
-                    respond(_error_report(
-                        None, ["empty command after request id"]), request_id)
+                    respond(error_report(
+                        tool, stamp(None),
+                        ["empty command after request id"]), request_id)
                     continue
             parts = line.split(None, 1)
-            command = parts[0]
-            if command == "quit":
+            name = parts[0]
+            if name == "quit":
                 break
-            if command == "ping":
+            if name == "ping":
                 respond(build_report(
-                    "serve", source=None, findings=[], verdict="clean",
+                    tool, source=stamp(None), findings=[], verdict="clean",
                     summary={"ping": {
                         "ok": True,
                         "files": len(session._files),
@@ -816,25 +865,42 @@ def run_serve(session: AnalysisSession, stdin=None, stdout=None,
                         "rebuilds": session.rebuilds,
                     }}), request_id)
                 continue
-            if command == "stats":
-                respond(build_report("serve", source=None, findings=[],
+            if name == "stats":
+                respond(build_report(tool, source=stamp(None), findings=[],
                                      verdict="clean",
                                      summary={"stats": session.stats()}),
                         request_id)
                 continue
-            if command == "analyze":
-                if len(parts) != 2:
-                    respond(_error_report(None, ["usage: analyze PATH"]),
-                            request_id)
-                    continue
-                handle_analyze(parts[1], request_id, line)
+            command = commands.get(name)
+            if command is None:
+                respond(error_report(
+                    tool, stamp(None),
+                    [f"unknown command {name!r} (expected {expected})"]),
+                    request_id)
                 continue
-            respond(_error_report(
-                None, [f"unknown command {command!r} "
-                       f"(expected analyze/stats/ping/quit)"]), request_id)
+            operands = _operands(parts[1] if len(parts) == 2 else "",
+                                 command.arity)
+            if operands is None:
+                respond(error_report(tool, stamp(None),
+                                     [f"usage: {command.usage}"]),
+                        request_id)
+                continue
+            handle(command, operands, request_id, line)
     except KeyboardInterrupt:
         return 0
     return 0
+
+
+def run_serve(session: AnalysisSession, stdin=None, stdout=None,
+              deadline_ms: Optional[float] = None,
+              clock=time.monotonic) -> int:
+    """The ``parcoach serve`` loop: :func:`serve_loop` with one command,
+    ``analyze PATH``, which (re)analyzes PATH incrementally and sends the
+    delta report."""
+    return serve_loop(session, SERVE_COMMANDS, tool="serve",
+                      stamp=lambda path: source_stamp(path, None),
+                      stdin=stdin, stdout=stdout, deadline_ms=deadline_ms,
+                      clock=clock)
 
 
 def run_watch(session: AnalysisSession, path: str, interval: float = 0.5,
@@ -864,7 +930,8 @@ def run_watch(session: AnalysisSession, path: str, interval: float = 0.5,
             except SessionError as exc:
                 message = "\n".join(exc.messages)
                 if message != last_reported_error:
-                    emit(_error_report(exc.path, exc.messages, tool="watch"))
+                    emit(error_report("watch", source_stamp(exc.path, None),
+                                      exc.messages))
                     emitted += 1
                     last_reported_error = message
             except (KeyboardInterrupt, SystemExit):
@@ -875,11 +942,8 @@ def run_watch(session: AnalysisSession, path: str, interval: float = 0.5,
                 session.recoveries += 1
                 message = f"{failure.error_type}: {failure.message}"
                 if message != last_reported_error:
-                    emit(build_report(
-                        "watch", source=source_stamp(path, None),
-                        findings=[], verdict="error",
-                        summary={"errors": [message],
-                                 "failure": failure.as_dict()}))
+                    emit(internal_error_report(
+                        "watch", source_stamp(path, None), failure))
                     emitted += 1
                     last_reported_error = message
             else:
@@ -901,9 +965,14 @@ __all__ = [
     "AnalysisSession",
     "SessionError",
     "SessionUpdate",
+    "ServeCommand",
     "SourceChunk",
+    "error_report",
+    "internal_error_report",
     "run_serve",
     "run_watch",
+    "serve_loop",
+    "timeout_report",
     "split_chunks",
     "REPORT_VERSION",
 ]

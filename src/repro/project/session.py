@@ -51,7 +51,6 @@ the finding fingerprint covers both.  Protocol details:
 
 from __future__ import annotations
 
-import sys
 import time
 from collections import ChainMap, OrderedDict
 from dataclasses import dataclass, field
@@ -62,7 +61,7 @@ from ..minilang.semantics import Checker
 from ..mpi.thread_levels import ThreadLevel
 from ..parallelism import EMPTY, Word, format_word, parse_word
 from ..util.faultinject import fault_site
-from ..util.resilience import Deadline, DeadlineExceeded, Failure
+from ..util.resilience import Deadline, Failure
 from ..core.callgraph import (
     CallGraph,
     ContextMap,
@@ -82,10 +81,15 @@ from ..core.report import (
     canonical_region_ids,
     diagnostic_finding,
     finding_fingerprint,
-    render_json,
     report_from_analysis,
 )
-from ..core.session import SessionError, _parse_chunk, split_chunks
+from ..core.session import (
+    ServeCommand,
+    SessionError,
+    _parse_chunk,
+    serve_loop,
+    split_chunks,
+)
 from ..core.sites import ProgramIndex, index_function, index_program
 from .manifest import ManifestError, ProjectManifest, load_manifest
 from .store import ShardedStore
@@ -1371,47 +1375,22 @@ def _qualify_findings(findings: List[dict],
 # ---------------------------------------------------------------------------
 
 
-def _error_report(root: str, path: Optional[str],
-                  messages: List[str]) -> dict:
-    return build_report("project", source={"file": path or root},
-                        findings=[], verdict="error",
-                        summary={"errors": list(messages)})
-
-
-def _timeout_report(root: str, exc: DeadlineExceeded,
-                    deadline_ms: float) -> dict:
-    return build_report(
-        "project", source={"file": root}, findings=[], verdict="error",
-        summary={
-            "errors": [str(exc)],
-            "timeout": {
-                "deadline_ms": deadline_ms,
-                "site": exc.site,
-                "elapsed_ms": round(exc.elapsed * 1000.0, 1),
-            },
-        })
-
-
-def _internal_error_report(root: str, failure: Failure,
-                           request: str) -> dict:
-    return build_report(
-        "project", source={"file": root}, findings=[], verdict="error",
-        summary={
-            "errors": [f"internal error: {failure.error_type}: "
-                       f"{failure.message}"],
-            "failure": failure.as_dict(),
-            "request": request,
-        })
+#: ``parcoach project serve``: files are named relative to the root.
+PROJECT_COMMANDS = {
+    "open": ServeCommand("open PATH", 1, "update_file"),
+    "edit": ServeCommand("edit PATH", 1, "update_file"),
+    "close": ServeCommand("close PATH", 1, "close_file"),
+    "rename": ServeCommand("rename OLD NEW", 2, "rename_file"),
+    "analyze": ServeCommand("analyze", 0, "update_all"),
+}
 
 
 def run_project_serve(session: ProjectSession, stdin=None, stdout=None,
                       deadline_ms: Optional[float] = None,
                       clock=time.monotonic) -> int:
-    """The ``parcoach project serve`` loop — same line protocol and
-    resilience contract as ``parcoach serve``, at project scope.
-
-    Commands (any may be prefixed ``@ID``; the id is echoed back as
-    ``request_id``)::
+    """The ``parcoach project serve`` loop — :func:`repro.core.session
+    .serve_loop`, the same line protocol and resilience contract as
+    ``parcoach serve``, at project scope.  Commands::
 
         open REL       (re)read REL (relative to the project root), fold it
                        into the merged program, emit the delta report
@@ -1420,177 +1399,20 @@ def run_project_serve(session: ProjectSession, stdin=None, stdout=None,
         rename OLD NEW atomic move: fold NEW in and drop OLD in one update
                        (fingerprints survive; findings re-qualify to NEW)
         analyze        (re)read every project file, emit the delta report
-        stats          engine + session + project counters
-        ping           liveness (never analyzes)
-        quit           exit 0 (EOF does the same)
 
-    Crash isolation, the self-heal ladder (recover the offending file →
-    rebuild the session → internal-error report) and the ``deadline_ms``
-    degradation ladder (timeout report → no-interprocedural retry → cold
-    recover) mirror :func:`repro.core.session.run_serve`."""
-    stdin = stdin if stdin is not None else sys.stdin
-    stdout = stdout if stdout is not None else sys.stdout
+    plus the loop's own ``stats``, ``ping`` and ``quit``.  A response
+    about one file names it in ``source.file``; every other response names
+    the project root."""
     root = session.manifest.root
-
-    def respond(doc: dict, request_id: Optional[str]) -> None:
-        if request_id is not None:
-            doc = dict(doc)
-            doc["request_id"] = request_id
-        payload = render_json(doc)
-        try:
-            written = fault_site("serve.emit", payload)
-            if written != payload:
-                raise OSError("short write on response stream")
-            stdout.write(payload)
-            stdout.flush()
-            return
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:
-            session.record_failure("serve.emit", exc)
-            session.recoveries += 1
-        stdout.write(payload)
-        stdout.flush()
-
-    def run_update(rel: Optional[str], deadline: Optional[Deadline],
-                   interprocedural: Optional[bool] = None,
-                   closing: bool = False,
-                   rename_to: Optional[str] = None) -> ProjectUpdate:
-        if rename_to is not None:
-            return session.rename_file(rel, rename_to, deadline=deadline,
-                                       interprocedural=interprocedural)
-        if closing:
-            return session.close_file(rel, deadline=deadline,
-                                      interprocedural=interprocedural)
-        if rel is None:
-            return session.update_all(deadline=deadline,
-                                      interprocedural=interprocedural)
-        return session.update_file(rel, deadline=deadline,
-                                   interprocedural=interprocedural)
-
-    def update_with_deadline(rel: Optional[str], request_id: Optional[str],
-                             closing: bool,
-                             rename_to: Optional[str]) -> None:
-        if deadline_ms is None:
-            respond(run_update(rel, None, closing=closing,
-                               rename_to=rename_to).report, request_id)
-            return
-        try:
-            delta = run_update(rel, Deadline.after_ms(deadline_ms, clock),
-                               closing=closing, rename_to=rename_to)
-        except DeadlineExceeded as exc:
-            session.timeouts += 1
-            session.record_failure(exc.site or "deadline", exc)
-            respond(_timeout_report(root, exc, deadline_ms), request_id)
-            try:
-                delta = run_update(rel, Deadline.after_ms(deadline_ms, clock),
-                                   interprocedural=False, closing=closing,
-                                   rename_to=rename_to)
-            except DeadlineExceeded as exc2:
-                session.record_failure(exc2.site or "deadline", exc2, 2)
-                if rel is not None:
-                    session.recover_file(rel)
-                delta = run_update(rel, None, interprocedural=False,
-                                   closing=closing, rename_to=rename_to)
-            session.degraded += 1
-        respond(delta.report, request_id)
-
-    def handle(rel: Optional[str], request_id: Optional[str],
-               request: str, closing: bool = False,
-               rename_to: Optional[str] = None) -> None:
-        for attempt in (1, 2, 3):
-            try:
-                update_with_deadline(rel, request_id, closing, rename_to)
-                return
-            except (SessionError, ManifestError) as exc:
-                messages = (exc.messages if isinstance(exc, SessionError)
-                            else [str(exc)])
-                path = exc.path if isinstance(exc, SessionError) else rel
-                respond(_error_report(root, path, messages), request_id)
-                return
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as exc:
-                failure = session.record_failure("serve.analyze", exc,
-                                                 attempt)
-                if attempt == 1:
-                    if rel is not None:
-                        session.recover_file(rel)
-                    session.recoveries += 1
-                elif attempt == 2:
-                    session.rebuild()
-                    session.rebuilds += 1
-                else:
-                    respond(_internal_error_report(root, failure, request),
-                            request_id)
-                    return
-
-    try:
-        for raw in stdin:
-            line = raw.strip()
-            if not line:
-                continue
-            request_id: Optional[str] = None
-            if line.startswith("@"):
-                head, _, rest = line.partition(" ")
-                request_id = head[1:]
-                line = rest.strip()
-                if not line:
-                    respond(_error_report(
-                        root, None, ["empty command after request id"]),
-                        request_id)
-                    continue
-            parts = line.split(None, 1)
-            command = parts[0]
-            if command == "quit":
-                break
-            if command == "ping":
-                respond(build_report(
-                    "project", source={"file": root}, findings=[],
-                    verdict="clean",
-                    summary={"ping": {
-                        "ok": True,
-                        "files": len(session._files),
-                        "updates": session.updates,
-                        "recoveries": session.recoveries,
-                        "rebuilds": session.rebuilds,
-                    }}), request_id)
-                continue
-            if command == "stats":
-                respond(build_report("project", source={"file": root},
-                                     findings=[], verdict="clean",
-                                     summary={"stats": session.stats()}),
-                        request_id)
-                continue
-            if command in ("open", "edit", "close"):
-                if len(parts) != 2:
-                    respond(_error_report(
-                        root, None, [f"usage: {command} PATH"]), request_id)
-                    continue
-                handle(parts[1], request_id, line,
-                       closing=(command == "close"))
-                continue
-            if command == "rename":
-                operands = parts[1].split() if len(parts) == 2 else []
-                if len(operands) != 2:
-                    respond(_error_report(
-                        root, None, ["usage: rename OLD NEW"]), request_id)
-                    continue
-                handle(operands[0], request_id, line, rename_to=operands[1])
-                continue
-            if command == "analyze":
-                handle(None, request_id, line)
-                continue
-            respond(_error_report(
-                root, None,
-                [f"unknown command {command!r} (expected open/edit/close/"
-                 f"rename/analyze/stats/ping/quit)"]), request_id)
-    except KeyboardInterrupt:
-        return 0
-    return 0
+    return serve_loop(session, PROJECT_COMMANDS, tool="project",
+                      stamp=lambda path: {"file": path or root},
+                      request_errors=(SessionError, ManifestError),
+                      stdin=stdin, stdout=stdout, deadline_ms=deadline_ms,
+                      clock=clock)
 
 
 __all__ = [
+    "PROJECT_COMMANDS",
     "ProjectSession",
     "ProjectUpdate",
     "run_project_serve",

@@ -15,6 +15,13 @@ Two things are normalised before the comparison:
   formatted stack, so it changes with the checkout path and with any edit
   to the code on the stack.
 
+The transcripts were captured before ``serve`` and ``project serve`` were
+moved onto one request loop.  That loop names the request's file in the
+``source.file`` of a project timeout or internal-error report, where the
+old project loop named the project root (``serve`` always named the
+file).  That is the one difference the comparison allows
+(``_moved_to_request_file``); ``docs/project-protocol.md`` documents it.
+
 After an intended protocol change, regenerate the transcripts with
 ``PYTHONPATH=src python tests/test_serve_golden.py`` and review the diff.
 """
@@ -319,12 +326,30 @@ def _no_leaked_plan():
     clear_plan()
 
 
+def _moved_to_request_file(want: str, got: str) -> bool:
+    """True when ``got`` is the project timeout or internal-error report
+    ``want`` with ``source.file`` naming a project file instead of the
+    root, and nothing else changed."""
+    want_doc, got_doc = json.loads(want), json.loads(got)
+    summary = want_doc["summary"]
+    if (want_doc["tool"] != "project"
+            or not ("timeout" in summary or "failure" in summary)
+            or want_doc["source"] != {"file": "<TMP>"}
+            or got_doc["source"]["file"] in ("<TMP>", None)):
+        return False
+    moved = '"source":{"file":%s}' % json.dumps(got_doc["source"]["file"])
+    return got.replace(moved, '"source":{"file":"<TMP>"}', 1) == want
+
+
 @pytest.mark.parametrize("name", sorted(TRANSCRIPTS))
 def test_transcript_matches_golden(name, tmp_path):
-    got = transcript(name, str(tmp_path))
+    got = transcript(name, str(tmp_path)).splitlines()
     with open(_golden_path(name), "r", encoding="utf-8") as handle:
-        want = handle.read()
-    assert got == want
+        want = handle.read().splitlines()
+    assert len(got) == len(want)
+    for want_line, got_line in zip(want, got):
+        if got_line != want_line:
+            assert _moved_to_request_file(want_line, got_line), got_line
 
 
 @pytest.mark.parametrize("name", sorted(TRANSCRIPTS))
