@@ -697,6 +697,8 @@ class ServeCommand(NamedTuple):
     #: 1: the rest of the line is one operand (a path may hold spaces);
     #: 0: the rest of the line is ignored; n > 1: n words.
     arity: int
+    #: A name, not a function: the table is module-level data, and the
+    #: call reaches whatever the session's class holds at call time.
     method: str
 
 

@@ -71,7 +71,7 @@ class FakeClock:
         return self.now
 
 
-# -- Deadline / Failure -----------------------------------------------------------
+# -- Deadline / Failure --------------------------------------------------------------
 
 
 def test_deadline_expiry_is_deterministic_with_fake_clock():
