@@ -29,8 +29,6 @@ The compact schema::
         "interproc_overhead": {"D32": 1.6, ...},  # interproc / intraproc mean
         "project_edit_speedup": {"P100": 8.0},  # cold project / one-file edit
         "project_assembly_ratio": 1.7           # edit @P1000 / edit @P100
-        # (also written as "project_assembly_speedup", its old name, for
-        # one more round; that key is a ratio where lower is better)
       }
     }
 """
@@ -166,8 +164,6 @@ def compact(raw: dict) -> dict:
         # (O(edit + dependents) assembly, not O(project)).
         derived["project_assembly_ratio"] = round(
             project_edit["P1000"] / project_edit["P100"], 2)
-        # Old name of the same ratio, kept for one round of readers.
-        derived["project_assembly_speedup"] = derived["project_assembly_ratio"]
     if schedule_rates:
         derived["schedules_per_sec"] = schedule_rates
     if decision_rates:

@@ -26,7 +26,9 @@ Subcommands::
     parcoach instrument FILE [-o OUT]
         emit the instrumented source
     parcoach run FILE [-np N] [-nt T] [--instrument] [--thread-level L]
-        execute under the simulator, print outputs and the verdict
+                      [--timeout SECS]
+        execute under the simulator, print outputs and the verdict; a
+        run still going after SECS wall seconds stalls (DeadlockError)
     parcoach explore FILE [--strategy dfs|dpor|random] [--preemptions K]
                           [--runs N] [--jobs N] [--budget SECS]
                           [--replay TRACE] [-np LIST] [-nt LIST]
@@ -683,7 +685,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="analyze + instrument before running")
     p.add_argument("--thread-level", default="multiple",
                    choices=[l.name.lower() for l in ThreadLevel])
-    p.add_argument("--timeout", type=float, default=10.0)
+    p.add_argument("--timeout", type=float, default=10.0, metavar="SECS",
+                   help="wall-clock budget of the whole run: a program "
+                        "still running after SECS ends with a 'run "
+                        "stalled' DeadlockError (deadlocks are reported "
+                        "at once; default 10)")
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser(

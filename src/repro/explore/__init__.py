@@ -1,8 +1,9 @@
 """repro.explore — deterministic schedule exploration for the simulator.
 
-The dynamic-side subsystem: a cooperative :class:`Scheduler` serializes
-every logical thread of a simulated run onto one token (so a run is fully
-determined by its schedule choice sequence), traces record/replay those
+The dynamic-side subsystem: the :class:`Scheduler` runs every logical
+thread of a simulated run — each a generator — on one OS thread, resuming
+one at a time (so a run is fully determined by its schedule choice
+sequence), traces record/replay those
 choices as compact JSON, and exploration strategies (bounded-preemption
 DFS, dynamic partial-order reduction with sleep sets and state
 fingerprints, seeded random sampling with duplicate resampling) sweep the

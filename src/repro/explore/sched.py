@@ -1,14 +1,15 @@
-"""The cooperative scheduler — deterministic execution of the simulator.
+"""The scheduler — single-OS-thread, deterministic execution of the simulator.
 
-Installed as an :class:`~repro.runtime.schedpoint.ExecutionHooks` on an
-:class:`~repro.runtime.simmpi.world.MpiWorld`, it serializes every logical
-thread of the run (rank main threads and all OpenMP team workers) onto a
-single token: exactly one thread executes at a time, and control changes
-hands only at SchedPoint hooks — entering a collective/recv/send, claiming
-a ``single``, team barriers, check enters, blocking waits, thread exits.
-A run is therefore *fully determined* by the sequence of answers the
-installed :class:`~repro.explore.strategies.Strategy` gives at branching
-decisions, which the scheduler records for trace replay.
+Every logical thread of a run (rank main threads and all OpenMP team
+workers) is a generator, and so is every blocking primitive of the runtime:
+a primitive ``yield`` s exactly when its thread parks.  :meth:`Scheduler.run`
+is a loop that resumes one logical thread at a time — the one that holds
+the token — so control changes hands only at SchedPoint hooks: entering a
+collective/recv/send, claiming a ``single``, team barriers, check enters,
+blocking waits, thread exits.  A run is therefore *fully determined* by the
+sequence of answers the installed
+:class:`~repro.explore.strategies.Strategy` gives at branching decisions,
+which the scheduler records for trace replay.
 
 Logical threads get deterministic hierarchical names: rank main threads are
 ``r0, r1, ...``; the ``tid``-th worker of the ``k``-th team spawned by
@@ -28,23 +29,27 @@ hashes the quiescent global state (thread positions + observation hashes,
 mailbox contents, collective-round state, shared cells) so drivers can
 prune revisited states.
 
-Time is virtual — one tick per scheduling operation — and deadlock
-detection is structural: the moment a decision finds no runnable thread
-while some are blocked, the run aborts *immediately* with the full wait-for
-state (every blocked thread's self-description), with no wall-clock
-timeout involved.
+Time is virtual — one tick per scheduling operation, loop iteration and
+function call — and deadlock detection is structural: the moment a decision
+finds no runnable thread while some are blocked, the run aborts
+*immediately* with the full wait-for state (every blocked thread's
+self-description).  A run that never ends (a loop with no SchedPoint in it)
+is stopped by the step budget, the world's ``timeout``: past it the run
+aborts with a ``run stalled`` :class:`DeadlockError`.  With
+``wall_clock=True`` (``parcoach run``) the clock is ``time.monotonic`` and
+the budget is in seconds, checked at the same steps.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
+import time
 import zlib
 from bisect import bisect_left, insort
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Set, Tuple
 
-from ..runtime.errors import DeadlockError
-from ..runtime.schedpoint import ExecutionHooks, SchedPoint
+from ..runtime.errors import AbortedError, DeadlockError
+from ..runtime.schedpoint import SchedPoint
 from ..util.brepr import bounded_repr
 from .footprint import Footprint, footprint_to_list, point_footprint
 from .strategies import Decision, DefaultStrategy, Strategy
@@ -57,14 +62,15 @@ _EMPTY_FP: Footprint = frozenset()
 
 
 class _Logical:
-    __slots__ = ("name", "state", "sem", "cond", "predicate", "describe",
+    __slots__ = ("name", "gen", "state", "channel", "predicate", "describe",
                  "pending_fp", "accesses", "obs")
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, gen: Generator) -> None:
         self.name = name
+        self.gen = gen
         self.state = _READY
-        self.sem = threading.Semaphore(0)
-        self.cond: Optional[threading.Condition] = None
+        #: The wait channel this thread is blocked on (identity-compared).
+        self.channel: Optional[object] = None
         self.predicate: Optional[Callable[[], bool]] = None
         self.describe = ""
         #: Base footprint of the operation the next segment resumes into.
@@ -78,31 +84,25 @@ class _Logical:
         self.obs = 0
 
 
-class ScheduleStall(RuntimeError):
-    """A spawned logical thread never attached (scheduler wiring bug)."""
-
-
-class Scheduler(ExecutionHooks):
-    """One run's cooperative schedule: strategy in, decision log out."""
-
-    cooperative = True
+class Scheduler:
+    """One run's schedule: strategy in, decision log out."""
 
     def __init__(self, strategy: Optional[Strategy] = None,
-                 wall_guard: float = 120.0,
-                 fingerprints: bool = False) -> None:
+                 fingerprints: bool = False,
+                 wall_clock: bool = False) -> None:
         self.strategy = strategy or DefaultStrategy()
-        self.wall_guard = wall_guard
         self.fingerprints = fingerprints
-        self._lock = threading.RLock()
+        self.wall_clock = wall_clock
         self._threads: Dict[str, _Logical] = {}
         self._ready_list: List[str] = []  # sorted; maintained incrementally
-        self._attach_events: Dict[str, threading.Event] = {}
         self._spawn_counts: Dict[Optional[str], int] = {}
-        self._tls = threading.local()
+        #: The thread holding the token (resumed next by the run loop).
         self._current: Optional[str] = None
-        self._started = False
+        #: The thread whose code is executing right now.
+        self._running: Optional[str] = None
         self._world = None
         self._vtime = 0.0
+        self._stall_at = float("inf")
         #: Branching decisions, in order — the run's schedule trace.
         self.decisions: List[Decision] = []
         #: Executed segments, in order: ``(thread, footprint)``.
@@ -121,171 +121,151 @@ class Scheduler(ExecutionHooks):
     # -- time ----------------------------------------------------------------
 
     def clock(self) -> float:
-        return self._vtime
+        return time.monotonic() if self.wall_clock else self._vtime
 
-    def join_timeout(self, timeout: float) -> float:
-        return self.wall_guard
+    def tick(self) -> None:
+        """One step of a running thread (a loop iteration or a function
+        call); past the step budget the run is stalled and unwinds."""
+        self._vtime += 1
+        if self.clock() > self._stall_at:
+            world = self._world
+            budget = (f"{world.timeout:g} s" if self.wall_clock
+                      else f"{world.timeout:.0f} steps")
+            world.abort(DeadlockError(
+                f"run stalled: {self._running} still running after {budget}"))
+            raise AbortedError()
 
     # -- logical-thread lifecycle -------------------------------------------
 
-    def _me(self) -> Optional[str]:
-        return getattr(self._tls, "name", None)
+    def current_thread(self) -> Optional[str]:
+        """Name of the logical thread whose code is executing."""
+        return self._running
 
-    def _attach_event(self, name: str) -> threading.Event:
-        with self._lock:
-            return self._attach_events.setdefault(name, threading.Event())
+    def spawn(self, gens: Sequence[Generator]) -> None:
+        """Add a team's workers (tid 1, 2, ... in order) as ready logical
+        threads named after the spawning thread."""
+        parent = self._running
+        seq = self._spawn_counts.get(parent, 0)
+        self._spawn_counts[parent] = seq + 1
+        for tid, gen in enumerate(gens, 1):
+            self._add(f"{parent}/{seq}.{tid}", gen)
 
-    def child_names(self, size: int) -> List[Optional[str]]:
-        parent = self._me()
-        with self._lock:
-            seq = self._spawn_counts.get(parent, 0)
-            self._spawn_counts[parent] = seq + 1
-        return [None] + [f"{parent}/{seq}.{tid}" for tid in range(1, size)]
+    def run(self, world, mains: Sequence[Tuple[str, Generator]]) -> None:
+        """Execute the rank main threads (and everything they spawn) until
+        every logical thread has exited."""
+        self._world = world
+        self._stall_at = self.clock() + world.timeout
+        for name, gen in mains:
+            self._add(name, gen)
+        self._schedule_next(world, SchedPoint.START, "")
+        threads = self._threads
+        while self._current is not None:
+            name = self._running = self._current
+            try:
+                next(threads[name].gen)
+            except StopIteration:
+                self._exit(world, name)
 
-    def attach(self, name: str) -> None:
-        lt = _Logical(name)
-        with self._lock:
-            self._threads[name] = lt
-            insort(self._ready_list, name)
-        self._tls.name = name
-        self._attach_event(name).set()
-        lt.sem.acquire()  # parked until first scheduled
+    def _add(self, name: str, gen: Generator) -> None:
+        self._threads[name] = _Logical(name, gen)
+        insort(self._ready_list, name)
 
-    def await_children(self, names) -> None:
-        for name in names:
-            if name is None:
-                continue
-            if not self._attach_event(name).wait(timeout=30.0):
-                raise ScheduleStall(f"logical thread {name} never attached")
-
-    def detach(self) -> None:
-        me = self._me()
-        self._tls.name = None
-        with self._lock:
-            lt = self._threads.pop(me, None)
-            if lt is not None:
-                if "/" not in me:
-                    # A rank main exiting mutates world-level accounting
-                    # (finished_ranks, open-round deadlock checks).
-                    lt.accesses.add(("procs", "w"))
-                self._close_segment_locked(lt, None)
-                self._ready_remove_locked(me)
-            if self._current == me:
-                self._current = None
-                if self._world is not None:
-                    self._schedule_next_locked(self._world, SchedPoint.EXIT, me)
-
-    def start(self, world) -> None:
-        with self._lock:
-            self._world = world
-            self._started = True
-            self._schedule_next_locked(world, SchedPoint.START, "")
+    def _exit(self, world, me: str) -> None:
+        self._running = None
+        lt = self._threads.pop(me)
+        if "/" not in me:
+            # A rank main exiting mutates world-level accounting
+            # (finished_ranks, open-round deadlock checks).
+            lt.accesses.add(("procs", "w"))
+        self._close_segment(lt, None)
+        self._schedule_next(world, SchedPoint.EXIT, me)
 
     def on_abort(self, world) -> None:
-        with self._lock:
-            if self.abort_decision is None:
-                self.abort_decision = len(self.decisions)
-            me = self._me()
-            aborter = self._threads.get(me) if me is not None else None
-            if aborter is not None:
-                # First-writer-wins on the verdict: whichever segment aborts
-                # first fixes it, so aborting segments never commute.
-                aborter.accesses.add(("abort", "w"))
-            for lt in self._threads.values():
-                if lt.state == _BLOCKED:
-                    lt.cond = None
-                    lt.predicate = None
-                    self._mark_ready_locked(lt)
+        if self.abort_decision is None:
+            self.abort_decision = len(self.decisions)
+        aborter = self._threads.get(self._running)
+        if aborter is not None:
+            # First-writer-wins on the verdict: whichever segment aborts
+            # first fixes it, so aborting segments never commute.
+            aborter.accesses.add(("abort", "w"))
+        for lt in self._threads.values():
+            if lt.state == _BLOCKED:
+                lt.channel = None
+                lt.predicate = None
+                self._mark_ready(lt)
 
     # -- footprint / observation hooks ----------------------------------------
 
     def note_access(self, obj: str, mode: str = "w") -> None:
         """The running segment touched shared object ``obj`` (mode r/w)."""
-        me = self._me()
-        if me is None:
-            return
-        lt = self._threads.get(me)
+        lt = self._threads.get(self._running)
         if lt is not None:
             lt.accesses.add((obj, mode))
 
     def note_observation(self, value: object) -> None:
         """The running thread observed ``value`` (shared read, collective or
         recv result, claim outcome) — folds into its local-state hash."""
-        me = self._me()
-        if me is None:
-            return
-        lt = self._threads.get(me)
+        lt = self._threads.get(self._running)
         if lt is not None:
             # bounded_repr: a fuzzed ``x = x * x`` loop mints ints past
             # CPython's 4300-digit str limit; plain repr would kill the
-            # rank thread mid-observation (found by the fuzz campaign).
+            # run mid-observation (found by the fuzz campaign).
             lt.obs = zlib.crc32(
                 bounded_repr(value).encode("utf-8", "replace"), lt.obs)
 
     # -- decision points ------------------------------------------------------
 
-    def yield_point(self, world, kind: str, detail: str = "") -> None:
-        me = self._me()
-        if me is None or not self._started:
-            return
+    def yield_point(self, world, kind: str, detail: str = "") -> bool:
+        """A SchedPoint of the running thread.  Returns True when another
+        thread was chosen, i.e. the caller must ``yield``."""
+        me = self._running
         point = f"{kind}:{detail}" if detail else kind
-        with self._lock:
-            lt = self._threads[me]
-            # The yield ends the current segment; the next one (whoever runs
-            # it first) begins by executing this point's operation.
-            self._close_segment_locked(lt, point_footprint(point))
-            candidates = self._ready_locked(include=me)
-            chosen = self._choose_locked(kind, detail, me, candidates, world)
-            if chosen == me:
-                self._vtime += 1
-                return
-            self._mark_ready_locked(lt)
-            self._grant_locked(chosen)
-        lt.sem.acquire()
-
-    def wait(self, world, cond, describe="", predicate=None):
-        me = self._me()
-        if me is None:  # not a scheduled thread (defensive): threaded wait
-            cond.wait(0.05)
-            return
         lt = self._threads[me]
-        with self._lock:
-            if world.aborted.is_set():
-                return  # caller's loop re-checks the abort flag first
-            lt.state = _BLOCKED
-            lt.cond = cond
-            lt.predicate = predicate
-            lt.describe = describe or me
-            # Park ends the segment; keep pending_fp — on wake the thread
-            # resumes *inside* the same logical operation (e.g. the recv
-            # loop re-checking and popping the queue).
-            self._close_segment_locked(lt, None)
-        # Fully release the caller-held condition while parked, exactly like
-        # Condition.wait does, so the thread we hand the token to can enter.
-        saved = cond._release_save()
-        try:
-            with self._lock:
-                # Hand the token over (may wake us straight back up if the
-                # handoff detects a structural deadlock and aborts).
-                self._schedule_next_locked(world, SchedPoint.BLOCK, describe)
-            lt.sem.acquire()
-        finally:
-            cond._acquire_restore(saved)
+        # The yield ends the current segment; the next one (whoever runs
+        # it first) begins by executing this point's operation.
+        self._close_segment(lt, point_footprint(point))
+        chosen = self._choose(kind, detail, me, self._ready(include=me), world)
+        if chosen == me:
+            self._vtime += 1
+            return False
+        self._mark_ready(lt)
+        self._grant(chosen)
+        return True
 
-    def notify(self, world, cond):
-        with self._lock:
-            for name in sorted(self._threads):
-                lt = self._threads[name]
-                if lt.state == _BLOCKED and lt.cond is cond:
-                    if lt.predicate is None or lt.predicate():
-                        lt.cond = None
-                        lt.predicate = None
-                        self._mark_ready_locked(lt)
+    def block(self, world, channel: object, describe: str = "",
+              predicate: Optional[Callable[[], bool]] = None) -> bool:
+        """Park the running thread on ``channel`` until a :meth:`notify`
+        whose ``predicate`` holds (or an abort).  Returns True when the
+        caller must ``yield``."""
+        if world.aborted:
+            return False  # caller's loop re-checks the abort flag first
+        me = self._running
+        lt = self._threads[me]
+        lt.state = _BLOCKED
+        lt.channel = channel
+        lt.predicate = predicate
+        lt.describe = describe or me
+        # Park ends the segment; keep pending_fp — on wake the thread
+        # resumes *inside* the same logical operation (e.g. the recv loop
+        # re-checking and popping the queue).
+        self._close_segment(lt, None)
+        # Hand the token over (may hand it straight back if the handoff
+        # detects a structural deadlock and aborts).
+        self._schedule_next(world, SchedPoint.BLOCK, describe)
+        return self._current != me
+
+    def notify(self, world, channel: object) -> None:
+        for lt in self._threads.values():
+            if lt.state == _BLOCKED and lt.channel is channel:
+                if lt.predicate is None or lt.predicate():
+                    lt.channel = None
+                    lt.predicate = None
+                    self._mark_ready(lt)
 
     # -- internals -------------------------------------------------------------
 
-    def _close_segment_locked(self, lt: _Logical,
-                              next_fp: Optional[Footprint]) -> None:
+    def _close_segment(self, lt: _Logical,
+                       next_fp: Optional[Footprint]) -> None:
         fp = lt.pending_fp
         if lt.accesses:
             fp = fp | frozenset(lt.accesses)
@@ -294,17 +274,12 @@ class Scheduler(ExecutionHooks):
         if next_fp is not None:
             lt.pending_fp = next_fp
 
-    def _mark_ready_locked(self, lt: _Logical) -> None:
+    def _mark_ready(self, lt: _Logical) -> None:
         if lt.state != _READY:
             lt.state = _READY
             insort(self._ready_list, lt.name)
 
-    def _ready_remove_locked(self, name: str) -> None:
-        i = bisect_left(self._ready_list, name)
-        if i < len(self._ready_list) and self._ready_list[i] == name:
-            self._ready_list.pop(i)
-
-    def _ready_locked(self, include: Optional[str] = None) -> List[str]:
+    def _ready(self, include: Optional[str] = None) -> List[str]:
         names = list(self._ready_list)
         if include is not None:
             i = bisect_left(names, include)
@@ -312,25 +287,23 @@ class Scheduler(ExecutionHooks):
                 names.insert(i, include)
         return names
 
-    def _choose_locked(self, kind: str, detail: str, current: Optional[str],
-                       candidates: List[str], world=None) -> str:
-        point = f"{kind}:{detail}" if detail else kind
+    def _choose(self, kind: str, detail: str, current: Optional[str],
+                candidates: List[str], world) -> str:
         if len(candidates) == 1:
             return candidates[0]
+        point = f"{kind}:{detail}" if detail else kind
         index = len(self.decisions)
         chosen = self.strategy.choose(index, candidates, current, point)
         if chosen not in candidates:
             chosen = candidates[0]
         self.decision_event_index.append(len(self.events))
-        if self.fingerprints and world is not None:
-            self.state_fingerprints.append(self._fingerprint_locked(world))
-        else:
-            self.state_fingerprints.append(None)
+        self.state_fingerprints.append(
+            self._fingerprint(world) if self.fingerprints else None)
         self.decisions.append(Decision(index, point, current,
                                        tuple(candidates), chosen))
         return chosen
 
-    def _fingerprint_locked(self, world) -> str:
+    def _fingerprint(self, world) -> str:
         """Canonical hash of the quiescent state at a branching decision.
 
         All logical threads are parked here (single token), so the state is
@@ -346,28 +319,28 @@ class Scheduler(ExecutionHooks):
             parts.append((name, lt.state,
                           lt.describe if lt.state == _BLOCKED else "",
                           lt.obs, footprint_to_list(lt.pending_fp)))
-        state = getattr(world, "fingerprint_state", None)
-        world_state = state() if state is not None else "?"
-        blob = repr((parts, world_state)).encode("utf-8", "replace")
+        blob = repr((parts, world.fingerprint_state())).encode(
+            "utf-8", "replace")
         return hashlib.sha256(blob).hexdigest()[:16]
 
-    def _grant_locked(self, name: str) -> None:
+    def _grant(self, name: str) -> None:
         lt = self._threads[name]
         lt.state = _RUNNING
-        self._ready_remove_locked(name)
+        i = bisect_left(self._ready_list, name)
+        if i < len(self._ready_list) and self._ready_list[i] == name:
+            self._ready_list.pop(i)
         self._current = name
         self._vtime += 1
-        lt.sem.release()
 
-    def _schedule_next_locked(self, world, kind: str, detail: str) -> None:
+    def _schedule_next(self, world, kind: str, detail: str) -> None:
         self._current = None
-        ready = self._ready_locked()
+        ready = self._ready()
         if not ready:
             blocked = sorted(n for n, lt in self._threads.items()
                              if lt.state == _BLOCKED)
             if not blocked:
                 return  # every logical thread has exited: the run is over
-            if not world.aborted.is_set():
+            if not world.aborted:
                 state = "; ".join(self._threads[n].describe or n
                                   for n in blocked)
                 self.deadlock_state = state
@@ -376,8 +349,6 @@ class Scheduler(ExecutionHooks):
                 ))  # on_abort marked them ready so they can unwind
             else:
                 self.on_abort(world)
-            ready = self._ready_locked()
-            if not ready:
-                return
-        chosen = self._choose_locked(kind, detail, None, ready, world)
-        self._grant_locked(chosen)
+            ready = self._ready()
+        chosen = self._choose(kind, detail, None, ready, world)
+        self._grant(chosen)

@@ -16,8 +16,7 @@ monothreaded regions) verdicts.
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, Optional
+from typing import Dict, Generator, Optional
 
 from ..mpi.collectives import color_name
 from .errors import (
@@ -35,19 +34,18 @@ class CheckState:
     def __init__(self, proc: MpiProcess, group_kinds: Optional[Dict[int, str]] = None) -> None:
         self.proc = proc
         self.group_kinds = group_kinds or {}
-        self._lock = threading.Lock()
         self._counters: Dict[int, int] = {}
 
     # -- CC --------------------------------------------------------------------
 
-    def cc(self, color: int, name: str, line: int) -> None:
+    def cc(self, color: int, name: str, line: int) -> Generator:
         if self.proc.finalized:
             # MPI_Finalize is itself a collective: once it matched, every
             # rank is finalized and no further collective can occur, so the
             # post-finalize return-check has nothing left to verify.
             return
         self.proc.cc_calls += 1
-        result = self.proc.collective("__CC__", (), color, line=line)
+        result = yield from self.proc.collective("__CC__", (), color, line=line)
         mn, mx, per_rank = result
         if mn == mx:
             return
@@ -64,16 +62,15 @@ class CheckState:
 
     # -- concurrency counters ------------------------------------------------------
 
-    def enter(self, group: int, what: str, line: int = 0) -> None:
+    def enter(self, group: int, what: str, line: int = 0) -> Generator:
         # Entering an instrumented region is schedule-relevant: whether two
         # threads overlap inside it is exactly what exploration varies.
-        self.proc.world.yield_point(SchedPoint.CHECK,
-                                    f"enter:r{self.proc.rank}:{what}")
+        yield from self.proc.world.yield_point(
+            SchedPoint.CHECK, f"enter:r{self.proc.rank}:{what}")
         self.proc.enter_checks += 1
-        with self._lock:
-            count = self._counters.get(group, 0) + 1
-            self._counters[group] = count
-            self.proc.check_counters[group] = count
+        count = self._counters.get(group, 0) + 1
+        self._counters[group] = count
+        self.proc.check_counters[group] = count
         if count <= 1:
             return
         kind = self.group_kinds.get(group, "multithread")
@@ -89,10 +86,9 @@ class CheckState:
             rank=self.proc.rank, line=line,
         )
 
-    def exit(self, group: int) -> None:
-        self.proc.world.yield_point(SchedPoint.CHECK,
-                                    f"exit:r{self.proc.rank}:{group}")
-        with self._lock:
-            count = max(0, self._counters.get(group, 0) - 1)
-            self._counters[group] = count
-            self.proc.check_counters[group] = count
+    def exit(self, group: int) -> Generator:
+        yield from self.proc.world.yield_point(
+            SchedPoint.CHECK, f"exit:r{self.proc.rank}:{group}")
+        count = max(0, self._counters.get(group, 0) - 1)
+        self._counters[group] = count
+        self.proc.check_counters[group] = count

@@ -1,28 +1,34 @@
 """Tree-walking interpreter for minilang on simmpi + simomp.
 
-One interpreter instance runs per MPI rank (inside that rank's thread); each
-OpenMP team thread executes interpreter code re-entrantly with its own
-:class:`ExecCtx`.  MPI calls route through the rank's :class:`MpiProcess`
-(thread-level guard + collective engine); the inserted ``PARCOACH_*`` calls
-route to :class:`~repro.runtime.checks.CheckState`.
+One interpreter instance runs per MPI rank; each OpenMP team thread
+executes interpreter code re-entrantly with its own :class:`ExecCtx`.
+Everything that can reach a blocking runtime primitive is a generator —
+statements, expressions, calls — so a logical thread is one ``yield from``
+chain that parks wherever the scheduler switches threads.  Loop iterations
+and function calls tick the scheduler's step budget.  MPI calls route
+through the rank's :class:`MpiProcess` (thread-level guard + collective
+engine); the inserted ``PARCOACH_*`` calls route to
+:class:`~repro.runtime.checks.CheckState`.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 from ...minilang import ast_nodes as A
 from ...mpi.collectives import COLLECTIVES
 from ...util.brepr import bounded_repr
 from ..checks import CheckState
-from ..errors import MpiRuntimeError
 from ..simmpi.process import MpiProcess
 from ..simomp import Team
 from .env import Cell, Env, InterpError
 
 _MAX_CALL_DEPTH = 200
+
+_P2P = ("MPI_Send", "MPI_Recv", "MPI_Sendrecv")
 
 
 class _BreakEx(Exception):
@@ -71,23 +77,23 @@ class Interpreter:
         self.checks = check_state or CheckState(proc)
         self.num_threads = num_threads
         self.funcs = {f.name: f for f in program.funcs}
-        # Shared-variable access tracking for schedule exploration: under a
-        # cooperative scheduler, reads/writes of cells visible to a team of
-        # >1 threads feed the running segment's footprint (and the state
-        # fingerprint).  Objects (cells, arrays) are labeled lazily in
-        # first-access order — deterministic within one scheduled run, which
-        # is the only scope footprints are ever compared in.
-        self._track = bool(getattr(self.world.hooks, "cooperative", False))
+        self._tick = self.world.scheduler.tick
+        # Shared-variable access tracking for schedule exploration:
+        # reads/writes of cells visible to a team of >1 threads feed the
+        # running segment's footprint (and the state fingerprint).  Objects
+        # (cells, arrays) are labeled lazily in first-access order —
+        # deterministic within one scheduled run, which is the only scope
+        # footprints are ever compared in.
         self._labels: Dict[int, str] = {}
         self._label_objs: List[tuple] = []  # (label, obj) — also keeps refs
-        if self._track:
-            self.world.register_fingerprint_provider(
-                f"interp:r{proc.rank}", self._shared_state)
+        self.world.register_fingerprint_provider(
+            f"interp:r{proc.rank}", self._shared_state)
 
     # -- shared-access tracking ----------------------------------------------
 
-    def _tracking(self, ctx: ExecCtx) -> bool:
-        return self._track and ctx.team is not None and ctx.team.size > 1
+    @staticmethod
+    def _tracking(ctx: ExecCtx) -> bool:
+        return ctx.team is not None and ctx.team.size > 1
 
     def _label(self, obj: object, name: str) -> str:
         key = id(obj)
@@ -102,8 +108,8 @@ class Interpreter:
         """Values of every tracked shared object, for state fingerprints.
         ``bounded_repr`` digests huge integers (a fuzzed ``x = x * x``
         loop overflows CPython's 4300-digit int→str limit and would kill
-        the rank thread mid-fingerprint) to bit length + low bits —
-        still deterministic and collision-poor."""
+        the run mid-fingerprint) to bit length + low bits — still
+        deterministic and collision-poor."""
         return tuple(sorted(
             (label, bounded_repr(obj.value if isinstance(obj, Cell)
                                  else obj))
@@ -112,12 +118,15 @@ class Interpreter:
 
     # -- entry -------------------------------------------------------------------
 
-    def run(self, entry: str = "main", args: tuple = ()) -> Any:
+    def run(self, entry: str = "main", args: tuple = ()) -> Generator:
         if entry not in self.funcs:
             raise InterpError(f"no entry function {entry!r}")
-        return self.call_function(self.funcs[entry], list(args), ExecCtx())
+        return (yield from self.call_function(self.funcs[entry], list(args),
+                                              ExecCtx()))
 
-    def call_function(self, func: A.FuncDef, args: List[Any], ctx: ExecCtx) -> Any:
+    def call_function(self, func: A.FuncDef, args: List[Any],
+                      ctx: ExecCtx) -> Generator:
+        self._tick()
         if ctx.call_depth >= _MAX_CALL_DEPTH:
             raise InterpError(f"call depth exceeded in {func.name}")
         if len(args) != len(func.params):
@@ -131,75 +140,81 @@ class Interpreter:
                         call_depth=ctx.call_depth + 1,
                         encounters=ctx.encounters)
         try:
-            self.exec_block(func.body, env.child(), inner)
+            yield from self.exec_block(func.body, env.child(), inner)
         except _ReturnEx as ret:
             return ret.value
         return None
 
     # -- statements -----------------------------------------------------------------
 
-    def exec_block(self, block: A.Block, env: Env, ctx: ExecCtx) -> None:
+    def exec_block(self, block: A.Block, env: Env, ctx: ExecCtx) -> Generator:
         for stmt in block.stmts:
-            self.exec_stmt(stmt, env, ctx)
+            yield from self.exec_stmt(stmt, env, ctx)
 
-    def exec_stmt(self, stmt: A.Stmt, env: Env, ctx: ExecCtx) -> None:
+    def exec_stmt(self, stmt: A.Stmt, env: Env, ctx: ExecCtx) -> Generator:
         self.world.check_abort()
         if isinstance(stmt, A.VarDecl):
             if stmt.array_size is not None:
-                size = int(self.eval(stmt.array_size, env, ctx))
+                size = int((yield from self.eval(stmt.array_size, env, ctx)))
                 init = 0.0 if stmt.type_name == "float" else 0
                 env.declare(stmt.name, [init] * size)
+            elif stmt.init is not None:
+                env.declare(stmt.name, (yield from self.eval(stmt.init, env, ctx)))
             else:
-                value = self.eval(stmt.init, env, ctx) if stmt.init is not None else _default(stmt.type_name)
-                env.declare(stmt.name, value)
+                env.declare(stmt.name, _default(stmt.type_name))
         elif isinstance(stmt, A.Assign):
-            self._assign(stmt, env, ctx)
+            yield from self._assign(stmt, env, ctx)
         elif isinstance(stmt, A.ExprStmt):
-            self.eval(stmt.expr, env, ctx, stmt_level=True)
+            yield from self.eval(stmt.expr, env, ctx)
         elif isinstance(stmt, A.Block):
-            self.exec_block(stmt, env.child(), ctx)
+            yield from self.exec_block(stmt, env.child(), ctx)
         elif isinstance(stmt, A.If):
-            if self.eval(stmt.cond, env, ctx):
-                self.exec_block(stmt.then_body, env.child(), ctx)
+            if (yield from self.eval(stmt.cond, env, ctx)):
+                yield from self.exec_block(stmt.then_body, env.child(), ctx)
             elif stmt.else_body is not None:
-                self.exec_block(stmt.else_body, env.child(), ctx)
+                yield from self.exec_block(stmt.else_body, env.child(), ctx)
         elif isinstance(stmt, A.While):
-            while self.eval(stmt.cond, env, ctx):
+            while (yield from self.eval(stmt.cond, env, ctx)):
+                self._tick()
                 try:
-                    self.exec_block(stmt.body, env.child(), ctx)
+                    yield from self.exec_block(stmt.body, env.child(), ctx)
                 except _BreakEx:
                     break
                 except _ContinueEx:
                     continue
         elif isinstance(stmt, A.For):
-            self._exec_for(stmt, env, ctx)
+            yield from self._exec_for(stmt, env, ctx)
         elif isinstance(stmt, A.Return):
-            raise _ReturnEx(self.eval(stmt.value, env, ctx) if stmt.value is not None else None)
+            value = None
+            if stmt.value is not None:
+                value = yield from self.eval(stmt.value, env, ctx)
+            raise _ReturnEx(value)
         elif isinstance(stmt, A.Break):
             raise _BreakEx()
         elif isinstance(stmt, A.Continue):
             raise _ContinueEx()
         elif isinstance(stmt, A.OmpStmt):
-            self._exec_omp(stmt, env, ctx)
+            yield from self._exec_omp(stmt, env, ctx)
         else:
             raise InterpError(f"cannot execute {type(stmt).__name__}")
 
-    def _exec_for(self, stmt: A.For, env: Env, ctx: ExecCtx) -> None:
+    def _exec_for(self, stmt: A.For, env: Env, ctx: ExecCtx) -> Generator:
         loop_env = env.child()
         if stmt.init is not None:
-            self.exec_stmt(stmt.init, loop_env, ctx)
-        while stmt.cond is None or self.eval(stmt.cond, loop_env, ctx):
+            yield from self.exec_stmt(stmt.init, loop_env, ctx)
+        while stmt.cond is None or (yield from self.eval(stmt.cond, loop_env, ctx)):
+            self._tick()
             try:
-                self.exec_block(stmt.body, loop_env.child(), ctx)
+                yield from self.exec_block(stmt.body, loop_env.child(), ctx)
             except _BreakEx:
                 break
             except _ContinueEx:
                 pass
             if stmt.step is not None:
-                self.exec_stmt(stmt.step, loop_env, ctx)
+                yield from self.exec_stmt(stmt.step, loop_env, ctx)
 
-    def _assign(self, stmt: A.Assign, env: Env, ctx: ExecCtx) -> None:
-        value = self.eval(stmt.value, env, ctx)
+    def _assign(self, stmt: A.Assign, env: Env, ctx: ExecCtx) -> Generator:
+        value = yield from self.eval(stmt.value, env, ctx)
         target = stmt.target
         if isinstance(target, A.VarRef):
             cell = env.cell(target.name)
@@ -214,7 +229,7 @@ class Interpreter:
                 self.world.note_access(self._label(cell, target.name), "w")
         elif isinstance(target, A.ArrayRef):
             arr = env.get(target.name)
-            index = int(self.eval(target.index, env, ctx))
+            index = int((yield from self.eval(target.index, env, ctx)))
             if not isinstance(arr, list):
                 raise InterpError(f"{target.name} is not an array")
             if not (0 <= index < len(arr)):
@@ -235,88 +250,93 @@ class Interpreter:
 
     # -- OpenMP ----------------------------------------------------------------------
 
-    def _exec_omp(self, stmt: A.OmpStmt, env: Env, ctx: ExecCtx) -> None:
+    def _exec_omp(self, stmt: A.OmpStmt, env: Env, ctx: ExecCtx) -> Generator:
         if isinstance(stmt, A.OmpBarrier):
             if ctx.team is not None:
-                ctx.team.barrier()
+                yield from ctx.team.barrier()
             return
 
         if isinstance(stmt, A.OmpParallel):
             size = self.num_threads
             if stmt.num_threads is not None:
-                size = max(1, int(self.eval(stmt.num_threads, env, ctx)))
+                size = max(1, int((yield from self.eval(stmt.num_threads, env, ctx))))
             team = Team(self.world, self.proc, size)
             private_init = {
                 name: (env.get(name) if env.is_declared(name) else 0)
                 for name in stmt.private
             }
 
-            def body(tid: int) -> None:
+            def body(tid: int) -> Generator:
                 tctx = ctx.nested(team, tid)
                 tenv = env.child()
                 for name, value in private_init.items():
                     tenv.declare(name, value)
-                self.exec_block(stmt.body, tenv, tctx)
-                team.barrier()  # the region's implicit join barrier
+                yield from self.exec_block(stmt.body, tenv, tctx)
+                yield from team.barrier()  # the region's implicit join barrier
 
-            team.run(body)
+            yield from team.run(body)
             return
 
         if isinstance(stmt, A.OmpSingle):
             team, tid = ctx.team, ctx.tid
             if team is None:
-                self.exec_block(stmt.body, env.child(), ctx)
+                yield from self.exec_block(stmt.body, env.child(), ctx)
                 return
             encounter = ctx.next_encounter(stmt.uid)
-            if team.claim(stmt.uid, encounter, tid):
-                self.exec_block(stmt.body, env.child(), ctx)
+            if (yield from team.claim(stmt.uid, encounter, tid)):
+                yield from self.exec_block(stmt.body, env.child(), ctx)
             if not stmt.nowait:
-                team.barrier()
+                yield from team.barrier()
             return
 
         if isinstance(stmt, A.OmpMaster):
             if ctx.team is None or ctx.tid == 0:
-                self.exec_block(stmt.body, env.child(), ctx)
+                yield from self.exec_block(stmt.body, env.child(), ctx)
             return
 
         if isinstance(stmt, A.OmpCritical):
             lock = self.proc.critical_lock(stmt.name or "<anon>")
-            with lock:
-                self.exec_block(stmt.body, env.child(), ctx)
+            yield from lock.acquire()
+            try:
+                yield from self.exec_block(stmt.body, env.child(), ctx)
+            finally:
+                lock.release()
             return
 
         if isinstance(stmt, A.OmpTask):
             # Executed inline by the encountering thread (undeferred task).
-            self.exec_block(stmt.body, env.child(), ctx)
+            yield from self.exec_block(stmt.body, env.child(), ctx)
             return
 
         if isinstance(stmt, A.OmpFor):
-            self._exec_omp_for(stmt, env, ctx)
+            yield from self._exec_omp_for(stmt, env, ctx)
             return
 
         if isinstance(stmt, A.OmpSections):
             team, tid = ctx.team, ctx.tid
             for i, section in enumerate(stmt.sections):
                 if team is None or team.section_owner(i) == tid:
-                    self.exec_block(section, env.child(), ctx)
+                    yield from self.exec_block(section, env.child(), ctx)
             if team is not None and not stmt.nowait:
-                team.barrier()
+                yield from team.barrier()
             return
 
         raise InterpError(f"cannot execute OpenMP node {type(stmt).__name__}")
 
-    def _exec_omp_for(self, stmt: A.OmpFor, env: Env, ctx: ExecCtx) -> None:
+    def _exec_omp_for(self, stmt: A.OmpFor, env: Env, ctx: ExecCtx) -> Generator:
         loop = stmt.loop
         if not isinstance(loop.init, A.VarDecl) or loop.cond is None or loop.step is None:
             raise InterpError("omp for requires a canonical for loop")
         var_name = loop.init.name
-        start = self.eval(loop.init.init, env, ctx) if loop.init.init is not None else 0
+        start = 0
+        if loop.init.init is not None:
+            start = yield from self.eval(loop.init.init, env, ctx)
         if not isinstance(loop.cond, A.BinOp) or loop.cond.op not in ("<", "<=", ">", ">="):
             raise InterpError("omp for condition must compare the loop variable")
-        bound = self.eval(loop.cond.right, env, ctx)
+        bound = yield from self.eval(loop.cond.right, env, ctx)
         if not isinstance(loop.step, A.Assign) or loop.step.op not in ("+=", "-="):
             raise InterpError("omp for step must be += or -=")
-        step = self.eval(loop.step.value, env, ctx)
+        step = yield from self.eval(loop.step.value, env, ctx)
         if loop.step.op == "-=":
             step = -step
         if step == 0:
@@ -337,25 +357,20 @@ class Interpreter:
         team = ctx.team
         chunk = team.static_chunk(ctx.tid, len(values)) if team is not None else range(len(values))
         for i in chunk:
+            self._tick()
             iter_env = env.child()
             iter_env.declare(var_name, values[i])
             try:
-                self.exec_block(loop.body, iter_env, ctx)
+                yield from self.exec_block(loop.body, iter_env, ctx)
             except _ContinueEx:
                 continue
         if team is not None and not stmt.nowait:
-            team.barrier()
+            yield from team.barrier()
 
     # -- expressions -----------------------------------------------------------------------
 
-    def eval(self, expr: A.Expr, env: Env, ctx: ExecCtx, stmt_level: bool = False) -> Any:
-        if isinstance(expr, A.IntLit):
-            return expr.value
-        if isinstance(expr, A.FloatLit):
-            return expr.value
-        if isinstance(expr, A.BoolLit):
-            return expr.value
-        if isinstance(expr, A.StringLit):
+    def eval(self, expr: A.Expr, env: Env, ctx: ExecCtx) -> Generator:
+        if isinstance(expr, (A.IntLit, A.FloatLit, A.BoolLit, A.StringLit)):
             return expr.value
         if isinstance(expr, A.VarRef):
             if self._tracking(ctx):
@@ -366,7 +381,7 @@ class Interpreter:
             return env.get(expr.name)
         if isinstance(expr, A.ArrayRef):
             arr = env.get(expr.name)
-            index = int(self.eval(expr.index, env, ctx))
+            index = int((yield from self.eval(expr.index, env, ctx)))
             if not isinstance(arr, list):
                 raise InterpError(f"{expr.name} is not an array")
             if not (0 <= index < len(arr)):
@@ -379,83 +394,59 @@ class Interpreter:
                 self.world.note_observation(("load", expr.name, index, value))
             return value
         if isinstance(expr, A.UnaryOp):
-            value = self.eval(expr.operand, env, ctx)
+            value = yield from self.eval(expr.operand, env, ctx)
             if expr.op == "-":
                 return -value
             if expr.op == "!":
                 return not value
             raise InterpError(f"unknown unary {expr.op}")
         if isinstance(expr, A.BinOp):
-            return self._eval_binop(expr, env, ctx)
+            return (yield from self._eval_binop(expr, env, ctx))
         if isinstance(expr, A.Call):
-            return self._eval_call(expr, env, ctx)
+            return (yield from self._eval_call(expr, env, ctx))
         raise InterpError(f"cannot evaluate {type(expr).__name__}")
 
-    def _eval_binop(self, expr: A.BinOp, env: Env, ctx: ExecCtx) -> Any:
+    def _eval_binop(self, expr: A.BinOp, env: Env, ctx: ExecCtx) -> Generator:
         op = expr.op
         if op == "&&":
-            return bool(self.eval(expr.left, env, ctx)) and bool(self.eval(expr.right, env, ctx))
+            return (bool((yield from self.eval(expr.left, env, ctx)))
+                    and bool((yield from self.eval(expr.right, env, ctx))))
         if op == "||":
-            return bool(self.eval(expr.left, env, ctx)) or bool(self.eval(expr.right, env, ctx))
-        left = self.eval(expr.left, env, ctx)
-        right = self.eval(expr.right, env, ctx)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise InterpError("division by zero")
-            if isinstance(left, int) and isinstance(right, int):
-                return _c_idiv(left, right)
-            return left / right
-        if op == "%":
-            if right == 0:
-                raise InterpError("modulo by zero")
-            if isinstance(left, int) and isinstance(right, int):
-                return _c_imod(left, right)
-            return math.fmod(left, right)
-        if op == "==":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == ">":
-            return left > right
-        if op == "<=":
-            return left <= right
-        if op == ">=":
-            return left >= right
-        raise InterpError(f"unknown operator {op}")
+            return (bool((yield from self.eval(expr.left, env, ctx)))
+                    or bool((yield from self.eval(expr.right, env, ctx))))
+        left = yield from self.eval(expr.left, env, ctx)
+        right = yield from self.eval(expr.right, env, ctx)
+        return _binop(op, left, right)
 
     # -- calls ------------------------------------------------------------------------------
 
-    def _eval_call(self, call: A.Call, env: Env, ctx: ExecCtx) -> Any:
+    def _eval_call(self, call: A.Call, env: Env, ctx: ExecCtx) -> Generator:
         name = call.name
-        if name in COLLECTIVES or name in ("MPI_Send", "MPI_Recv", "MPI_Sendrecv"):
-            return self._exec_mpi(call, env, ctx)
-        if name in _MPI_QUERY_IMPL:
-            return _MPI_QUERY_IMPL[name](self, call, env, ctx)
-        if name in _BUILTIN_IMPL:
-            return _BUILTIN_IMPL[name](self, call, env, ctx)
+        if name in COLLECTIVES or name in _P2P:
+            return (yield from self._exec_mpi(call, env, ctx))
         func = self.funcs.get(name)
-        if func is not None:
-            args = [self.eval(a, env, ctx) for a in call.args]
-            return self.call_function(func, args, ctx)
-        raise InterpError(f"call to unknown function {name!r}")
+        if func is None and name not in _BUILTIN_IMPL \
+                and name not in _CHECK_BUILTINS:
+            raise InterpError(f"call to unknown function {name!r}")
+        args = []
+        for arg in call.args:
+            args.append((yield from self.eval(arg, env, ctx)))
+        if name in _BUILTIN_IMPL:
+            return _BUILTIN_IMPL[name](self, ctx, args)
+        if name == "PARCOACH_CC":
+            return (yield from self.checks.cc(int(args[0]), str(args[1]),
+                                              int(args[2])))
+        if name == "PARCOACH_ENTER":
+            return (yield from self.checks.enter(int(args[0]), str(args[1]),
+                                                 call.line))
+        if name == "PARCOACH_EXIT":
+            return (yield from self.checks.exit(int(args[0])))
+        return (yield from self.call_function(func, args, ctx))
 
     # -- MPI ------------------------------------------------------------------------------------
 
-    def _lvalue_name(self, expr: A.Expr, what: str) -> str:
-        if isinstance(expr, A.VarRef):
-            return expr.name
-        raise InterpError(f"{what} buffer argument must be a variable name")
-
     def _store(self, expr: A.Expr, value: Any, env: Env, ctx: ExecCtx,
-               what: str) -> None:
+               what: str) -> Generator:
         """Write an MPI result back through an lvalue (variable or array
         element)."""
         if isinstance(expr, A.VarRef):
@@ -466,7 +457,7 @@ class Interpreter:
             return
         if isinstance(expr, A.ArrayRef):
             arr = env.get(expr.name)
-            index = int(self.eval(expr.index, env, ctx))
+            index = int((yield from self.eval(expr.index, env, ctx)))
             if not isinstance(arr, list) or not (0 <= index < len(arr)):
                 raise InterpError(
                     f"{what}: bad array element {expr.name}[{index}]"
@@ -477,96 +468,81 @@ class Interpreter:
             return
         raise InterpError(f"{what} buffer argument must be an lvalue")
 
-    def _exec_mpi(self, call: A.Call, env: Env, ctx: ExecCtx) -> Any:
+    def _exec_mpi(self, call: A.Call, env: Env, ctx: ExecCtx) -> Generator:
         name = call.name
         proc = self.proc
         line = call.line
         a = call.args
+        ev = self.eval
 
-        if name == "MPI_Barrier":
-            return proc.collective("MPI_Barrier", (), None, line=line)
-        if name == "MPI_Finalize":
-            return proc.collective("MPI_Finalize", (), None, line=line)
-        if name == "MPI_Bcast":
-            root = int(self.eval(a[1], env, ctx))
-            payload = self.eval(a[0], env, ctx) if proc.rank == root else None
-            result = proc.collective(name, (root,), payload, line=line)
-            self._store(a[0], result, env, ctx, name)
+        if name in ("MPI_Barrier", "MPI_Finalize"):
+            return (yield from proc.collective(name, (), None, line=line))
+        if name in ("MPI_Bcast", "MPI_Scatter"):
+            # MPI_Bcast(buf, root) / MPI_Scatter(send, recv, root)
+            root_arg, out = (a[1], a[0]) if name == "MPI_Bcast" else (a[2], a[1])
+            root = int((yield from ev(root_arg, env, ctx)))
+            payload = (yield from ev(a[0], env, ctx)) if proc.rank == root else None
+            result = yield from proc.collective(name, (root,), payload, line=line)
+            yield from self._store(out, result, env, ctx, name)
             return None
         if name == "MPI_Reduce":
-            send = self.eval(a[0], env, ctx)
-            red = self._red_op(a[2], env, ctx)
-            root = int(self.eval(a[3], env, ctx))
-            result = proc.collective(name, (root, red), send, line=line)
+            send = yield from ev(a[0], env, ctx)
+            red = yield from self._red_op(a[2], env, ctx)
+            root = int((yield from ev(a[3], env, ctx)))
+            result = yield from proc.collective(name, (root, red), send, line=line)
             if proc.rank == root:
-                self._store(a[1], result, env, ctx, name)
-            return None
-        if name == "MPI_Allreduce":
-            send = self.eval(a[0], env, ctx)
-            red = self._red_op(a[2], env, ctx)
-            result = proc.collective(name, (red,), send, line=line)
-            self._store(a[1], result, env, ctx, name)
+                yield from self._store(a[1], result, env, ctx, name)
             return None
         if name == "MPI_Gather":
-            send = self.eval(a[0], env, ctx)
-            root = int(self.eval(a[2], env, ctx))
-            result = proc.collective(name, (root,), send, line=line)
+            send = yield from ev(a[0], env, ctx)
+            root = int((yield from ev(a[2], env, ctx)))
+            result = yield from proc.collective(name, (root,), send, line=line)
             if proc.rank == root:
-                self._store(a[1], result, env, ctx, name)
+                yield from self._store(a[1], result, env, ctx, name)
             return None
-        if name == "MPI_Scatter":
-            root = int(self.eval(a[2], env, ctx))
-            payload = self.eval(a[0], env, ctx) if proc.rank == root else None
-            result = proc.collective(name, (root,), payload, line=line)
-            self._store(a[1], result, env, ctx, name)
+        if name in ("MPI_Allgather", "MPI_Alltoall"):
+            send = yield from ev(a[0], env, ctx)
+            result = yield from proc.collective(name, (), send, line=line)
+            yield from self._store(a[1], result, env, ctx, name)
             return None
-        if name == "MPI_Allgather":
-            send = self.eval(a[0], env, ctx)
-            result = proc.collective(name, (), send, line=line)
-            self._store(a[1], result, env, ctx, name)
-            return None
-        if name == "MPI_Alltoall":
-            result = proc.collective(name, (), self.eval(a[0], env, ctx), line=line)
-            self._store(a[1], result, env, ctx, name)
-            return None
-        if name in ("MPI_Scan", "MPI_Exscan"):
-            send = self.eval(a[0], env, ctx)
-            red = self._red_op(a[2], env, ctx)
-            result = proc.collective(name, (red,), send, line=line)
-            if result is not None:
-                self._store(a[1], result, env, ctx, name)
+        if name in ("MPI_Allreduce", "MPI_Scan", "MPI_Exscan"):
+            send = yield from ev(a[0], env, ctx)
+            red = yield from self._red_op(a[2], env, ctx)
+            result = yield from proc.collective(name, (red,), send, line=line)
+            if name == "MPI_Allreduce" or result is not None:
+                yield from self._store(a[1], result, env, ctx, name)
             return None
         if name == "MPI_Reduce_scatter_block":
-            red = self._red_op(a[2], env, ctx)
-            result = proc.collective(name, (red,), self.eval(a[0], env, ctx), line=line)
-            self._store(a[1], result, env, ctx, name)
+            red = yield from self._red_op(a[2], env, ctx)
+            send = yield from ev(a[0], env, ctx)
+            result = yield from proc.collective(name, (red,), send, line=line)
+            yield from self._store(a[1], result, env, ctx, name)
             return None
-        if name == "MPI_Send":
-            value = self.eval(a[0], env, ctx)
-            dest = int(self.eval(a[1], env, ctx))
-            tag = int(self.eval(a[2], env, ctx))
-            proc.send(dest, tag, value, line=line)
-            return None
-        if name == "MPI_Recv":
-            source = int(self.eval(a[1], env, ctx))
-            tag = int(self.eval(a[2], env, ctx))
-            self._store(a[0], proc.recv(source, tag, line=line), env, ctx, name)
-            return None
-        if name == "MPI_Sendrecv":
-            value = self.eval(a[0], env, ctx)
-            dest = int(self.eval(a[1], env, ctx))
-            stag = int(self.eval(a[2], env, ctx))
-            source = int(self.eval(a[4], env, ctx))
-            rtag = int(self.eval(a[5], env, ctx))
-            proc.send(dest, stag, value, line=line)
-            self._store(a[3], proc.recv(source, rtag, line=line), env, ctx, name)
-            return None
-        raise InterpError(f"unhandled MPI call {name}")
+        if name in ("MPI_Send", "MPI_Sendrecv"):
+            value = yield from ev(a[0], env, ctx)
+            dest = int((yield from ev(a[1], env, ctx)))
+            stag = int((yield from ev(a[2], env, ctx)))
+            if name == "MPI_Sendrecv":
+                source = int((yield from ev(a[4], env, ctx)))
+                rtag = int((yield from ev(a[5], env, ctx)))
+            yield from proc.send(dest, stag, value, line=line)
+            if name == "MPI_Send":
+                return None
+            buf = a[3]
+        elif name == "MPI_Recv":
+            source = int((yield from ev(a[1], env, ctx)))
+            rtag = int((yield from ev(a[2], env, ctx)))
+            buf = a[0]
+        else:
+            raise InterpError(f"unhandled MPI call {name}")
+        received = yield from proc.recv(source, rtag, line=line)
+        yield from self._store(buf, received, env, ctx, name)
+        return None
 
-    def _red_op(self, expr: A.Expr, env: Env, ctx: ExecCtx) -> str:
+    def _red_op(self, expr: A.Expr, env: Env, ctx: ExecCtx) -> Generator:
         if isinstance(expr, A.StringLit):
             return expr.value
-        value = self.eval(expr, env, ctx)
+        value = yield from self.eval(expr, env, ctx)
         if isinstance(value, str):
             return value
         raise InterpError("reduction op must be a string: 'sum'|'prod'|'min'|'max'")
@@ -630,44 +606,66 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _b_print(interp: Interpreter, call: A.Call, env: Env, ctx: ExecCtx) -> None:
-    parts = [_fmt(interp.eval(a, env, ctx)) for a in call.args]
-    interp.proc.output.append(" ".join(parts))
+def _binop(op: str, left: Any, right: Any) -> Any:
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return left * right
+    if op == "/":
+        if right == 0:
+            raise InterpError("division by zero")
+        if isinstance(left, int) and isinstance(right, int):
+            return _c_idiv(left, right)
+        return left / right
+    if op == "%":
+        if right == 0:
+            raise InterpError("modulo by zero")
+        if isinstance(left, int) and isinstance(right, int):
+            return _c_imod(left, right)
+        return math.fmod(left, right)
+    if op == "==":
+        return left == right
+    if op == "!=":
+        return left != right
+    if op == "<":
+        return left < right
+    if op == ">":
+        return left > right
+    if op == "<=":
+        return left <= right
+    if op == ">=":
+        return left >= right
+    raise InterpError(f"unknown operator {op}")
 
 
-def _b_work(interp: Interpreter, call: A.Call, env: Env, ctx: ExecCtx) -> int:
-    n = int(interp.eval(call.args[0], env, ctx))
+def _b_work(n: Any) -> int:
     x = 0
-    for _ in range(max(0, n)):
+    for _ in range(max(0, int(n))):
         x = (x * 1103515245 + 12345) & 0xFFFFFFFF
     return x
 
 
-_BUILTIN_IMPL: Dict[str, Callable] = {
-    "print": _b_print,
-    "work": _b_work,
-    "omp_get_thread_num": lambda i, c, e, x: x.tid,
-    "omp_get_num_threads": lambda i, c, e, x: (x.team.size if x.team else 1),
-    "omp_get_max_threads": lambda i, c, e, x: i.num_threads,
-    "abs": lambda i, c, e, x: abs(i.eval(c.args[0], e, x)),
-    "min": lambda i, c, e, x: min(i.eval(c.args[0], e, x), i.eval(c.args[1], e, x)),
-    "max": lambda i, c, e, x: max(i.eval(c.args[0], e, x), i.eval(c.args[1], e, x)),
-    "sqrt": lambda i, c, e, x: math.sqrt(i.eval(c.args[0], e, x)),
-    "mod": lambda i, c, e, x: i.eval(c.args[0], e, x) % i.eval(c.args[1], e, x),
-    "PARCOACH_CC": lambda i, c, e, x: i.checks.cc(
-        int(i.eval(c.args[0], e, x)), str(i.eval(c.args[1], e, x)),
-        int(i.eval(c.args[2], e, x)),
-    ),
-    "PARCOACH_ENTER": lambda i, c, e, x: i.checks.enter(
-        int(i.eval(c.args[0], e, x)), str(i.eval(c.args[1], e, x)), c.line,
-    ),
-    "PARCOACH_EXIT": lambda i, c, e, x: i.checks.exit(int(i.eval(c.args[0], e, x))),
+#: Non-blocking builtins and MPI queries: ``impl(interp, ctx, args)`` on the
+#: already-evaluated argument values.
+_BUILTIN_IMPL: Dict[str, Callable[[Interpreter, ExecCtx, List[Any]], Any]] = {
+    "print": lambda i, x, a: i.proc.output.append(" ".join(map(_fmt, a))),
+    "work": lambda i, x, a: _b_work(a[0]),
+    "omp_get_thread_num": lambda i, x, a: x.tid,
+    "omp_get_num_threads": lambda i, x, a: (x.team.size if x.team else 1),
+    "omp_get_max_threads": lambda i, x, a: i.num_threads,
+    "abs": lambda i, x, a: abs(a[0]),
+    "min": lambda i, x, a: min(a[0], a[1]),
+    "max": lambda i, x, a: max(a[0], a[1]),
+    "sqrt": lambda i, x, a: math.sqrt(a[0]),
+    "mod": lambda i, x, a: a[0] % a[1],
+    "MPI_Comm_rank": lambda i, x, a: i.proc.rank,
+    "MPI_Comm_size": lambda i, x, a: i.world.nprocs,
+    "MPI_Wtime": lambda i, x, a: time.perf_counter(),
+    "MPI_Init": lambda i, x, a: i.proc.init(),
+    "MPI_Init_thread": lambda i, x, a: i.proc.init_thread(int(a[0])),
 }
 
-_MPI_QUERY_IMPL: Dict[str, Callable] = {
-    "MPI_Comm_rank": lambda i, c, e, x: i.proc.rank,
-    "MPI_Comm_size": lambda i, c, e, x: i.world.nprocs,
-    "MPI_Wtime": lambda i, c, e, x: __import__("time").perf_counter(),
-    "MPI_Init": lambda i, c, e, x: i.proc.init(),
-    "MPI_Init_thread": lambda i, c, e, x: i.proc.init_thread(int(i.eval(c.args[0], e, x))),
-}
+#: The inserted verification calls; they block (collectives, SchedPoints).
+_CHECK_BUILTINS = ("PARCOACH_CC", "PARCOACH_ENTER", "PARCOACH_EXIT")

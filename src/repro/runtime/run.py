@@ -13,16 +13,15 @@ from ..minilang import ast_nodes as A
 from ..mpi.thread_levels import ThreadLevel
 from .checks import CheckState
 from .interp.interpreter import Interpreter
-from .schedpoint import ExecutionHooks
 from .simmpi.world import MpiWorld, RunResult
 
-#: Wall-clock seconds before a blocked wait is declared deadlocked when the
-#: caller does not thread an explicit budget through.
+#: Wall-clock seconds a run may take when the caller installs no scheduler
+#: and threads no explicit budget through.
 DEFAULT_TIMEOUT = 10.0
 
-#: Virtual-clock budget (scheduling steps) under a cooperative scheduler —
-#: real deadlocks are detected structurally and immediately there; the step
-#: budget only catches livelocks that keep yielding forever.
+#: Virtual-clock budget (scheduling operations, loop iterations, function
+#: calls) under a caller's scheduler — real deadlocks are detected
+#: structurally and immediately; the budget only stops runs that never end.
 DEFAULT_STEP_BUDGET = 1_000_000.0
 
 
@@ -34,7 +33,7 @@ def run_program(
     group_kinds: Optional[Dict[int, str]] = None,
     entry: str = "main",
     timeout: Optional[float] = None,
-    scheduler: Optional[ExecutionHooks] = None,
+    scheduler=None,
 ) -> RunResult:
     """Execute ``program`` on ``nprocs`` simulated ranks.
 
@@ -51,20 +50,22 @@ def run_program(
         ``ProgramAnalysis.group_kinds`` when running instrumented code —
         selects the error type the ENTER counters raise.
     timeout:
-        Deadlock budget.  Wall-clock seconds in threaded mode (default
-        ``DEFAULT_TIMEOUT``); under a scheduler the clock is *virtual*
-        (one tick per scheduling decision), deadlocks are reported the
-        instant every logical thread blocks, and the default budget is the
-        large ``DEFAULT_STEP_BUDGET`` livelock guard.
+        Step budget of the run; past it the run ends with a ``run
+        stalled`` :class:`DeadlockError`.  Deadlocks never wait for it:
+        they are reported the instant every logical thread blocks.  With
+        a caller's ``scheduler`` the clock is *virtual* (one tick per
+        scheduling operation, loop iteration and function call; default
+        ``DEFAULT_STEP_BUDGET``); without one it is wall-clock seconds
+        (default ``DEFAULT_TIMEOUT``).
     scheduler:
-        A cooperative scheduler from :mod:`repro.explore` — installs
-        deterministic one-thread-at-a-time execution with trace recording.
-        ``None`` (default) keeps normal threaded execution.
+        A :class:`repro.explore.Scheduler` with the strategy to run and the
+        decision log to record.  ``None`` (default) installs the
+        run-to-completion default strategy on a wall clock.
     """
     if timeout is None:
         timeout = DEFAULT_STEP_BUDGET if scheduler is not None else DEFAULT_TIMEOUT
     world = MpiWorld(nprocs, thread_level=thread_level, timeout=timeout,
-                     hooks=scheduler)
+                     scheduler=scheduler)
 
     def target(proc):
         checks = CheckState(proc, group_kinds)

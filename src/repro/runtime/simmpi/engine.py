@@ -13,17 +13,16 @@ real machine:
   are the collective colors, every rank receives ``(min, max)`` and the
   caller turns disagreement into a clean :class:`CollectiveMismatchError`.
 
-Blocking goes through the world's SchedPoint hooks: threaded runs wait on
-the condition (woken by arrivals, releases, finishes, and abort), scheduled
-runs block cooperatively with an exact wait-for description.
+Blocking goes through the world's generator hooks: a waiting rank parks
+on the engine (woken by arrivals, releases, finishes and abort) with an
+exact wait-for description.
 
 Data semantics of each collective live in :mod:`.ops`.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..errors import AbortedError, DeadlockError
 from ..schedpoint import SchedPoint
@@ -34,7 +33,6 @@ class CollectiveEngine:
     def __init__(self, world: "MpiWorld", ranks: List[int]) -> None:  # noqa: F821
         self.world = world
         self.ranks = list(ranks)
-        self.cond = threading.Condition()
         self.round_no = 0
         #: rank -> (op_name, signature, payload) for the open round.
         self.arrivals: Dict[int, Tuple[str, tuple, Any]] = {}
@@ -47,37 +45,38 @@ class CollectiveEngine:
     # -- public ------------------------------------------------------------------
 
     def collective(self, rank: int, op_name: str, signature: tuple,
-                   payload: Any) -> Any:
+                   payload: Any) -> Generator:
         """Execute one collective round for ``rank``; blocks until matched."""
-        self.world.yield_point(SchedPoint.COLLECTIVE, f"{op_name}@r{rank}")
-        deadline = self.world.clock() + self.world.timeout
-        with self.cond:
-            # Wait for the previous round's release phase to finish.
-            while self._releasing:
-                self._wait(deadline, f"rank {rank} awaiting round release",
-                           lambda: not self._releasing)
-            self._check_alive_peers()
-            if rank in self.arrivals:
-                raise AbortedError()  # same rank twice in one round: unwinding
-            self.arrivals[rank] = (op_name, signature, payload)
-            self._detect_mismatch()
-            if len(self.arrivals) == len(self.ranks):
-                self._complete_round()
-            else:
-                while not self._releasing:
-                    self._wait(deadline,
-                               f"rank {rank} in {op_name} (round {self.round_no})",
-                               lambda: self._releasing)
-                    self._check_alive_peers()
-            assert self._result is not None
-            value = self._result.get(rank)
-            self._release_pending -= 1
-            if self._release_pending == 0:
-                self._releasing = False
-                self._result = None
-                self.world.notify(self.cond)
-            self.world.note_observation(("coll", op_name, value))
-            return value
+        world = self.world
+        yield from world.yield_point(SchedPoint.COLLECTIVE, f"{op_name}@r{rank}")
+        # Wait for the previous round's release phase to finish.
+        while self._releasing:
+            world.check_abort()
+            yield from world.wait(self, f"rank {rank} awaiting round release",
+                                  lambda: not self._releasing)
+        self._check_alive_peers()
+        if rank in self.arrivals:
+            raise AbortedError()  # same rank twice in one round: unwinding
+        self.arrivals[rank] = (op_name, signature, payload)
+        self._detect_mismatch()
+        if len(self.arrivals) == len(self.ranks):
+            self._complete_round()
+        else:
+            while not self._releasing:
+                world.check_abort()
+                yield from world.wait(
+                    self, f"rank {rank} in {op_name} (round {self.round_no})",
+                    lambda: self._releasing)
+                self._check_alive_peers()
+        assert self._result is not None
+        value = self._result.get(rank)
+        self._release_pending -= 1
+        if self._release_pending == 0:
+            self._releasing = False
+            self._result = None
+            world.notify(self)
+        world.note_observation(("coll", op_name, value))
+        return value
 
     def fingerprint_state(self):
         """Canonical round progress for state fingerprinting."""
@@ -94,31 +93,18 @@ class CollectiveEngine:
     def on_proc_finished(self, rank: int) -> None:
         """Called by the world when a rank's main thread exits; wakes a round
         that can now never complete."""
-        with self.cond:
-            if self.arrivals and rank not in self.arrivals and not self._releasing:
-                waiting = {
-                    r: self.arrivals[r][0] for r in sorted(self.arrivals)
-                }
-                desc = ", ".join(f"rank {r} in {op}" for r, op in waiting.items())
-                self.world.abort(DeadlockError(
-                    f"deadlock: rank {rank} finished while {desc} wait(s) "
-                    f"for the collective to complete"
-                ))
-            self.world.notify(self.cond)
+        if self.arrivals and rank not in self.arrivals and not self._releasing:
+            waiting = {
+                r: self.arrivals[r][0] for r in sorted(self.arrivals)
+            }
+            desc = ", ".join(f"rank {r} in {op}" for r, op in waiting.items())
+            self.world.abort(DeadlockError(
+                f"deadlock: rank {rank} finished while {desc} wait(s) "
+                f"for the collective to complete"
+            ))
+        self.world.notify(self)
 
     # -- internals -----------------------------------------------------------------
-
-    def _wait(self, deadline: float, describe: str, predicate) -> None:
-        self.world.check_abort()
-        if self.world.clock() > deadline:
-            ops_desc = ", ".join(
-                f"rank {r} in {v[0]}" for r, v in sorted(self.arrivals.items())
-            )
-            self.world.abort(DeadlockError(
-                f"deadlock: collective round timed out ({ops_desc or 'empty round'})"
-            ))
-            self.world.check_abort()
-        self.world.wait(self.cond, describe, predicate)
 
     def _check_alive_peers(self) -> None:
         self.world.check_abort()
@@ -163,4 +149,4 @@ class CollectiveEngine:
         self.arrivals = {}
         self._releasing = True
         self._release_pending = len(self.ranks)
-        self.world.notify(self.cond)
+        self.world.notify(self)

@@ -14,14 +14,11 @@ rules the paper's analysis reasons about:
 
 from __future__ import annotations
 
-import contextlib
-import threading
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Generator, List, Optional
 
 from ...mpi.thread_levels import LEVEL_FROM_INT, ThreadLevel
 from ..errors import (
     ConcurrentCollectiveError,
-    DeadlockError,
     MpiRuntimeError,
     ThreadLevelError,
 )
@@ -30,60 +27,48 @@ from ..schedpoint import SchedPoint
 
 class CriticalSection:
     """A named ``omp critical`` lock that blocks through the world's
-    SchedPoint hooks, so contention is schedulable (and deadlock-reportable)
-    instead of an opaque OS-level block."""
+    generator hooks, so contention is schedulable (and deadlock-reportable)
+    instead of an opaque block."""
 
     def __init__(self, world: "MpiWorld", rank: int, name: str) -> None:  # noqa: F821
         self.world = world
         self.rank = rank
         self.name = name
-        self.cond = threading.Condition()
         self._held = False
 
-    def __enter__(self) -> "CriticalSection":
-        self.world.yield_point(SchedPoint.CRITICAL,
-                               f"r{self.rank}:{self.name}")
-        deadline = self.world.clock() + self.world.timeout
-        with self.cond:
-            while self._held:
-                self.world.check_abort()
-                if self.world.clock() > deadline:
-                    self.world.abort(DeadlockError(
-                        f"critical({self.name}) never released on rank "
-                        f"{self.rank}"
-                    ))
-                    self.world.check_abort()
-                self.world.wait(
-                    self.cond,
-                    f"rank {self.rank} waiting for critical({self.name})",
-                    lambda: not self._held,
-                )
-            self._held = True
-        return self
+    def acquire(self) -> Generator:
+        yield from self.world.yield_point(SchedPoint.CRITICAL,
+                                          f"r{self.rank}:{self.name}")
+        while self._held:
+            self.world.check_abort()
+            yield from self.world.wait(
+                self,
+                f"rank {self.rank} waiting for critical({self.name})",
+                lambda: not self._held,
+            )
+        self._held = True
 
-    def __exit__(self, *exc) -> None:
-        with self.cond:
-            self._held = False
-            self.world.notify(self.cond)
+    def release(self) -> None:
+        self._held = False
+        self.world.notify(self)
 
 
 class MpiProcess:
     def __init__(self, world: "MpiWorld", rank: int) -> None:  # noqa: F821
         self.world = world
         self.rank = rank
-        self.main_thread: Optional[threading.Thread] = None
+        #: The logical thread that runs the rank's program (the master).
+        self.main_thread = f"r{rank}"
         self.output: List[str] = []
         self.effective_level = world.thread_level
         self.initialized = False
         self.finalized = False
         # Thread-level accounting.
-        self._lock = threading.Lock()
         self._in_mpi = 0
         self._collectives_inflight = 0
         self._active_wide_teams = 0  # teams with size > 1 currently open
         # Named critical-section locks (shared by all teams of the process).
         self._critical_locks: Dict[str, CriticalSection] = {}
-        self._critical_guard = threading.Lock()
         # Instrumentation counters (populated by CheckState).
         self.cc_calls = 0
         self.enter_checks = 0
@@ -93,27 +78,23 @@ class MpiProcess:
 
     def enter_parallel(self, size: int) -> None:
         if size > 1:
-            with self._lock:
-                self._active_wide_teams += 1
+            self._active_wide_teams += 1
 
     def exit_parallel(self, size: int) -> None:
         if size > 1:
-            with self._lock:
-                self._active_wide_teams -= 1
+            self._active_wide_teams -= 1
 
     def fingerprint_state(self):
         """Canonical per-rank shared state for state fingerprinting."""
-        with self._lock:
-            return (
-                self.rank, self.initialized, self.finalized, self._in_mpi,
-                self._collectives_inflight, self._active_wide_teams,
-                tuple(sorted(self.check_counters.items())),
-            )
+        return (
+            self.rank, self.initialized, self.finalized, self._in_mpi,
+            self._collectives_inflight, self._active_wide_teams,
+            tuple(sorted(self.check_counters.items())),
+        )
 
     def critical_lock(self, name: str) -> CriticalSection:
-        with self._critical_guard:
-            return self._critical_locks.setdefault(
-                name, CriticalSection(self.world, self.rank, name))
+        return self._critical_locks.setdefault(
+            name, CriticalSection(self.world, self.rank, name))
 
     # -- MPI setup ------------------------------------------------------------------
 
@@ -131,65 +112,68 @@ class MpiProcess:
 
     # -- the guard ----------------------------------------------------------------------
 
-    @contextlib.contextmanager
-    def mpi_call(self, op_name: str, collective: bool, line: Optional[int] = None):
+    def mpi_call(self, op_name: str, collective: bool, line: Optional[int],
+                 op: Generator) -> Generator:
+        """Run the MPI operation generator ``op`` under the thread-level
+        guard; returns its result."""
         if self.finalized:
             raise MpiRuntimeError(
                 f"{op_name} called after MPI_Finalize", rank=self.rank, line=line,
             )
         level = self.effective_level
-        with self._lock:
-            if level is ThreadLevel.SINGLE and self._active_wide_teams > 0:
-                raise ThreadLevelError(
-                    f"{op_name} called inside a parallel region but the program "
-                    f"runs at MPI_THREAD_SINGLE", rank=self.rank, line=line,
-                )
-            if level is ThreadLevel.FUNNELED and threading.current_thread() is not self.main_thread:
-                raise ThreadLevelError(
-                    f"{op_name} called from a non-master thread at "
-                    f"MPI_THREAD_FUNNELED", rank=self.rank, line=line,
-                )
-            if level <= ThreadLevel.SERIALIZED and self._in_mpi > 0:
-                raise ThreadLevelError(
-                    f"{op_name} overlaps another MPI call within rank "
-                    f"{self.rank} at {level.mpi_name}", rank=self.rank, line=line,
-                )
-            if collective and self._collectives_inflight > 0:
-                raise ConcurrentCollectiveError(
-                    f"two collective operations overlap on the same "
-                    f"communicator within rank {self.rank} ({op_name})",
-                    rank=self.rank, line=line,
-                )
-            self._in_mpi += 1
-            if collective:
-                self._collectives_inflight += 1
+        if level is ThreadLevel.SINGLE and self._active_wide_teams > 0:
+            raise ThreadLevelError(
+                f"{op_name} called inside a parallel region but the program "
+                f"runs at MPI_THREAD_SINGLE", rank=self.rank, line=line,
+            )
+        if (level is ThreadLevel.FUNNELED
+                and self.world.scheduler.current_thread() != self.main_thread):
+            raise ThreadLevelError(
+                f"{op_name} called from a non-master thread at "
+                f"MPI_THREAD_FUNNELED", rank=self.rank, line=line,
+            )
+        if level <= ThreadLevel.SERIALIZED and self._in_mpi > 0:
+            raise ThreadLevelError(
+                f"{op_name} overlaps another MPI call within rank "
+                f"{self.rank} at {level.mpi_name}", rank=self.rank, line=line,
+            )
+        if collective and self._collectives_inflight > 0:
+            raise ConcurrentCollectiveError(
+                f"two collective operations overlap on the same "
+                f"communicator within rank {self.rank} ({op_name})",
+                rank=self.rank, line=line,
+            )
+        self._in_mpi += 1
+        if collective:
+            self._collectives_inflight += 1
         # The per-rank in-flight counters are shared state the thread-level
         # guard races on: entering/leaving an MPI call never commutes with
         # another MPI call of the same rank.
         self.world.note_access(f"mpi:r{self.rank}", "w")
         try:
-            yield
+            return (yield from op)
         finally:
-            with self._lock:
-                self._in_mpi -= 1
-                if collective:
-                    self._collectives_inflight -= 1
+            self._in_mpi -= 1
+            if collective:
+                self._collectives_inflight -= 1
             self.world.note_access(f"mpi:r{self.rank}", "w")
 
     # -- operations -------------------------------------------------------------------------
 
     def collective(self, op_name: str, signature: tuple, payload: Any,
-                   line: Optional[int] = None) -> Any:
-        with self.mpi_call(op_name, collective=True, line=line):
-            result = self.world.engine.collective(self.rank, op_name, signature, payload)
+                   line: Optional[int] = None) -> Generator:
+        result = yield from self.mpi_call(
+            op_name, True, line,
+            self.world.engine.collective(self.rank, op_name, signature, payload))
         if op_name == "MPI_Finalize":
             self.finalized = True
         return result
 
-    def send(self, dest: int, tag: int, value: Any, line: Optional[int] = None) -> None:
-        with self.mpi_call("MPI_Send", collective=False, line=line):
-            self.world.mailbox.send(self.rank, dest, tag, value)
+    def send(self, dest: int, tag: int, value: Any,
+             line: Optional[int] = None) -> Generator:
+        yield from self.mpi_call("MPI_Send", False, line,
+                                 self.world.mailbox.send(self.rank, dest, tag, value))
 
-    def recv(self, source: int, tag: int, line: Optional[int] = None) -> Any:
-        with self.mpi_call("MPI_Recv", collective=False, line=line):
-            return self.world.mailbox.recv(self.rank, source, tag)
+    def recv(self, source: int, tag: int, line: Optional[int] = None) -> Generator:
+        return (yield from self.mpi_call("MPI_Recv", False, line,
+                                         self.world.mailbox.recv(self.rank, source, tag)))

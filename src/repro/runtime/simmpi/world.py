@@ -1,30 +1,28 @@
-"""The simulated MPI world: N ranks, one Python thread each.
+"""The simulated MPI world: N ranks, each a logical thread of one scheduler.
 
-``MpiWorld.run(target)`` spawns one thread per rank executing
-``target(proc)``; the first :class:`ValidationError` raised anywhere aborts
-the world (all blocked waits unwind via :class:`AbortedError`) and becomes
-the run's verdict.  A rank finishing while peers wait in a collective is
-detected as a deadlock by the engines.
+``MpiWorld.run(target)`` runs ``target(proc)`` — a generator, the rank's
+main logical thread — on every rank, under the world's
+:class:`~repro.explore.Scheduler` on the calling OS thread.  The first
+:class:`ValidationError` raised anywhere aborts the world (all blocked
+waits unwind via :class:`AbortedError`) and becomes the run's verdict.  A
+rank finishing while peers wait in a collective is detected as a deadlock
+by the engines.
 
-Every blocking decision point delegates to the world's
-:class:`~repro.runtime.schedpoint.ExecutionHooks` (see ``schedpoint.py``):
-the default is free-running OS threads with condition notification; when a
-cooperative scheduler from :mod:`repro.explore` is installed instead, the
-run is deterministic, time is virtual, and deadlocks are detected
-structurally the moment every logical thread is blocked.
+Every blocking decision point is a generator hook here that delegates to
+the scheduler (see ``schedpoint.py``): exactly one logical thread runs at a
+time, so the run is deterministic and deadlocks are detected structurally
+the moment every logical thread is blocked.  Without an explicit scheduler
+the world installs the default run-to-completion one on a wall clock.
 """
 
 from __future__ import annotations
 
-import math
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from ...mpi.thread_levels import ThreadLevel
-from ..errors import AbortedError, DeadlockError, ValidationError
-from ..schedpoint import THREADED_HOOKS, ExecutionHooks
+from ..errors import AbortedError, ValidationError
 from .engine import CollectiveEngine
 from .mailbox import Mailbox
 from .process import MpiProcess
@@ -65,69 +63,69 @@ class RunResult:
 
 class MpiWorld:
     def __init__(self, nprocs: int, thread_level: ThreadLevel = ThreadLevel.MULTIPLE,
-                 timeout: float = 20.0, hooks: Optional[ExecutionHooks] = None) -> None:
+                 timeout: float = 20.0, scheduler=None) -> None:
         if nprocs < 1:
             raise ValueError("need at least one rank")
+        if scheduler is None:
+            from ...explore.sched import Scheduler  # explore builds on runtime
+            scheduler = Scheduler(wall_clock=True)
         self.nprocs = nprocs
         self.thread_level = thread_level
+        #: The run's step budget (see :meth:`Scheduler.tick`).
         self.timeout = timeout
-        self.hooks = hooks if hooks is not None else THREADED_HOOKS
-        self.clock = self.hooks.clock
-        self._abort_lock = threading.Lock()
+        self.scheduler = scheduler
         self.abort_error: Optional[ValidationError] = None
-        self.aborted = threading.Event()
-        self._wait_conds: Set[threading.Condition] = set()
+        self.aborted = False
         self._fingerprint_providers: Dict[str, Callable[[], object]] = {}
         self.finished_ranks: Set[int] = set()
         self.engine = CollectiveEngine(self, list(range(nprocs)))
         self.mailbox = Mailbox(self)
         self.procs = [MpiProcess(self, rank) for rank in range(nprocs)]
 
-    # -- hook façade ---------------------------------------------------------------
+    # -- scheduler façade ------------------------------------------------------
 
-    def yield_point(self, kind: str, detail: str = "") -> None:
-        self.hooks.yield_point(self, kind, detail)
+    def yield_point(self, kind: str, detail: str = "") -> Generator:
+        """A SchedPoint: ``yield from`` it; parks while another thread runs."""
+        if self.scheduler.yield_point(self, kind, detail):
+            yield
 
-    def wait(self, cond: threading.Condition, describe: str = "",
-             predicate=None) -> None:
-        """Block on ``cond`` (held by the caller) until its state may have
-        changed; callers loop on their own condition."""
-        self.hooks.wait(self, cond, describe, predicate)
+    def wait(self, channel: object, describe: str = "",
+             predicate=None) -> Generator:
+        """Park on ``channel`` until its state may have changed (or the
+        world aborts); callers loop on their own condition."""
+        if self.scheduler.block(self, channel, describe, predicate):
+            yield
 
-    def notify(self, cond: threading.Condition) -> None:
-        """State guarded by ``cond`` (held by the caller) changed."""
-        self.hooks.notify(self, cond)
+    def notify(self, channel: object) -> None:
+        """State behind ``channel`` changed: wake its satisfied waiters."""
+        self.scheduler.notify(self, channel)
 
     def note_access(self, obj: str, mode: str = "w") -> None:
         """The running thread touched shared object ``obj`` (footprints)."""
-        self.hooks.note_access(obj, mode)
+        self.scheduler.note_access(obj, mode)
 
     def note_observation(self, value) -> None:
         """The running thread observed ``value`` (state fingerprints)."""
-        self.hooks.note_observation(value)
-
-    def register_wait_cond(self, cond: threading.Condition) -> None:
-        with self._abort_lock:
-            self._wait_conds.add(cond)
+        self.scheduler.note_observation(value)
 
     # -- state fingerprinting ------------------------------------------------------
 
     def register_fingerprint_provider(self, key: str, provider) -> None:
         """Register a component (e.g. a rank's interpreter) that contributes
         shared state to :meth:`fingerprint_state`; keyed so composition
-        order never depends on thread startup order."""
+        order never depends on registration order."""
         self._fingerprint_providers[key] = provider
 
     def fingerprint_state(self):
         """Canonical snapshot of all world-level shared state, consumed by
-        the cooperative scheduler's per-decision state hash."""
+        the scheduler's per-decision state hash."""
         providers = tuple(
             (key, self._fingerprint_providers[key]())
             for key in sorted(self._fingerprint_providers)
         )
         return (
             tuple(sorted(self.finished_ranks)),
-            self.aborted.is_set(),
+            self.aborted,
             self.engine.fingerprint_state(),
             self.mailbox.fingerprint_state(),
             tuple(proc.fingerprint_state() for proc in self.procs),
@@ -138,41 +136,26 @@ class MpiWorld:
 
     def abort(self, error: ValidationError) -> None:
         """Record the first verdict and wake every blocked wait."""
-        with self._abort_lock:
-            if self.abort_error is None:
-                self.abort_error = error
-            conds = list(self._wait_conds)
-        self.aborted.set()
-        self.hooks.on_abort(self)
-        for cond in conds:
-            # Best-effort: an RLock held by *this* thread re-enters fine; one
-            # held by another thread is skipped — its owner is either about
-            # to wait (and re-checks the abort flag first) or already
-            # waiting with the fallback timeout as a bound.
-            if cond.acquire(blocking=False):
-                try:
-                    cond.notify_all()
-                finally:
-                    cond.release()
+        if self.abort_error is None:
+            self.abort_error = error
+        self.aborted = True
+        self.scheduler.on_abort(self)
 
     def check_abort(self) -> None:
-        if self.aborted.is_set():
+        if self.aborted:
             raise AbortedError()
 
     # -- execution ------------------------------------------------------------------
 
-    def run(self, target: Callable[[MpiProcess], object]) -> RunResult:
-        """Run ``target(proc)`` on every rank; collect the verdict."""
+    def run(self, target: Callable[[MpiProcess], Generator]) -> RunResult:
+        """Run the generator ``target(proc)`` on every rank; collect the
+        verdict."""
         result = RunResult(nprocs=self.nprocs)
         start = time.perf_counter()
-        cooperative = self.hooks.cooperative
 
-        def runner(proc: MpiProcess, name: str) -> None:
-            if cooperative:
-                self.hooks.attach(name)
+        def runner(proc: MpiProcess) -> Generator:
             try:
-                proc.main_thread = threading.current_thread()
-                result.returns[proc.rank] = target(proc)
+                result.returns[proc.rank] = yield from target(proc)
             except ValidationError as err:
                 if err.rank is None:
                     err.rank = proc.rank
@@ -186,30 +169,9 @@ class MpiWorld:
             finally:
                 self.finished_ranks.add(proc.rank)
                 self.engine.on_proc_finished(proc.rank)
-                if cooperative:
-                    self.hooks.detach()
 
-        names = [f"r{proc.rank}" for proc in self.procs]
-        threads = [
-            threading.Thread(target=runner, args=(proc, name),
-                             name=f"rank-{proc.rank}", daemon=True)
-            for proc, name in zip(self.procs, names)
-        ]
-        for t in threads:
-            t.start()
-        if cooperative:
-            self.hooks.await_children(names)
-            self.hooks.start(self)
-        guard = self.hooks.join_timeout(self.timeout)
-        if not math.isfinite(guard):
-            guard = None
-        for t in threads:
-            t.join(timeout=guard)
-        if any(t.is_alive() for t in threads) and self.abort_error is None:
-            self.abort(DeadlockError(
-                "run stalled: rank thread(s) still alive past the join guard"
-            ))
-
+        self.scheduler.run(self, [(f"r{proc.rank}", runner(proc))
+                                  for proc in self.procs])
         result.error = self.abort_error
         result.elapsed = time.perf_counter() - start
         result.history = list(self.engine.history)

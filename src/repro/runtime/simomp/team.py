@@ -1,27 +1,29 @@
 """simomp — the explicit fork/join OpenMP-like thread runtime.
 
 A :class:`Team` is one parallel region instance: the encountering thread
-becomes tid 0 (the master), ``size - 1`` workers are spawned, and
-``Team.run`` joins them (the join is the region's implicit barrier from the
-master's perspective; the interpreter emits the semantic implicit barrier
-explicitly before the join so *all* threads synchronize, as OpenMP
-requires).  Teams nest freely — a worker encountering another ``parallel``
-creates a sub-team, which is the perfectly nested model the paper assumes.
+becomes tid 0 (the master), ``size - 1`` workers are spawned as new
+logical threads, and ``Team.run`` joins them (the join is the region's
+implicit barrier from the master's perspective; the interpreter emits the
+semantic implicit barrier explicitly before the join so *all* threads
+synchronize, as OpenMP requires).  Teams nest freely — a worker
+encountering another ``parallel`` creates a sub-team, which is the
+perfectly nested model the paper assumes.
 
-All blocking (barriers, the master's join) goes through the world's
-SchedPoint hooks: condition-notified under real threads, cooperative and
-fully deterministic under an installed scheduler — where workers get
-deterministic hierarchical names so a run is reproducible from its schedule
-choice sequence alone.
+Workers are generators run by the world's scheduler, which names them
+deterministically (``P/k.t``), so a run is reproducible from its schedule
+choice sequence alone.  All blocking (barriers, the master's join) goes
+through the world's generator hooks.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Generator, Tuple
 
-from ..errors import AbortedError, DeadlockError, ValidationError
+from ..errors import AbortedError, ValidationError
 from ..schedpoint import SchedPoint
+
+#: A team body: ``body(tid)`` returns the generator that thread runs.
+Body = Callable[[int], Generator]
 
 
 class Team:
@@ -31,74 +33,53 @@ class Team:
         self.world = world
         self.proc = proc
         self.size = size
-        # Generation barrier.
-        self._bar_cond = threading.Condition()
+        # Generation barrier; ``_barrier`` is its wait channel.
+        self._barrier = object()
         self._bar_count = 0
         self._bar_gen = 0
-        # Worker completion (the master's cooperative join).
-        self._done_cond = threading.Condition()
+        # Worker completion (the master's join); ``_joined`` is its channel.
+        self._joined = object()
         self._done = 0
         # single/sections claims: (construct_uid, encounter_index) -> tid.
-        self._claim_lock = threading.Lock()
         self._claims: Dict[Tuple[int, int], int] = {}
 
     # -- fork/join -------------------------------------------------------------
 
-    def run(self, body: Callable[[int], None]) -> None:
+    def run(self, body: Body) -> Generator:
         """Execute ``body(tid)`` on ``size`` threads (master = caller)."""
         self.proc.enter_parallel(self.size)
         try:
             if self.size == 1:
-                self._run_guarded(body, 0)
+                yield from self._run_guarded(body, 0)
                 return
-            names = self.world.hooks.child_names(self.size)
-            workers = [
-                threading.Thread(
-                    target=self._worker_main, args=(body, tid, names[tid]),
-                    name=f"rank{self.proc.rank}-tid{tid}", daemon=True,
-                )
-                for tid in range(1, self.size)
-            ]
-            for t in workers:
-                t.start()
-            self.world.hooks.await_children(names)
-            self._run_guarded(body, 0)
-            self._join_workers(workers)
+            self.world.scheduler.spawn([self._worker_main(body, tid)
+                                        for tid in range(1, self.size)])
+            yield from self._run_guarded(body, 0)
+            yield from self._join_workers()
         finally:
             self.proc.exit_parallel(self.size)
 
-    def _worker_main(self, body: Callable[[int], None], tid: int,
-                     name: Optional[str]) -> None:
-        if name is not None:
-            self.world.hooks.attach(name)
+    def _worker_main(self, body: Body, tid: int) -> Generator:
         try:
-            self._run_guarded(body, tid)
+            yield from self._run_guarded(body, tid)
         finally:
-            with self._done_cond:
-                self._done += 1
-                self.world.notify(self._done_cond)
-            if name is not None:
-                self.world.hooks.detach()
+            self._done += 1
+            self.world.notify(self._joined)
 
-    def _join_workers(self, workers) -> None:
-        deadline = self.world.clock() + self.world.timeout * 2
-        with self._done_cond:
-            while self._done < len(workers):
-                self.world.check_abort()
-                if self.world.clock() > deadline:
-                    break  # fall through to the real join + abort check
-                self.world.wait(
-                    self._done_cond,
-                    f"rank {self.proc.rank} master joining its team",
-                    lambda: self._done >= len(workers),
-                )
-        for t in workers:
-            t.join(timeout=1.0)
+    def _join_workers(self) -> Generator:
+        workers = self.size - 1
+        while self._done < workers:
+            self.world.check_abort()
+            yield from self.world.wait(
+                self._joined,
+                f"rank {self.proc.rank} master joining its team",
+                lambda: self._done >= workers,
+            )
         self.world.check_abort()
 
-    def _run_guarded(self, body: Callable[[int], None], tid: int) -> None:
+    def _run_guarded(self, body: Body, tid: int) -> Generator:
         try:
-            body(tid)
+            yield from body(tid)
         except AbortedError:
             if tid == 0:
                 raise
@@ -106,8 +87,7 @@ class Team:
             if err.rank is None:
                 err.rank = self.proc.rank
             self.world.abort(err)
-            with self._bar_cond:
-                self.world.notify(self._bar_cond)
+            self.world.notify(self._barrier)
             if tid == 0:
                 raise AbortedError() from err
         except Exception as err:  # noqa: BLE001 - surface interpreter bugs
@@ -116,55 +96,46 @@ class Team:
             )
             wrapped.rank = self.proc.rank
             self.world.abort(wrapped)
-            with self._bar_cond:
-                self.world.notify(self._bar_cond)
+            self.world.notify(self._barrier)
             if tid == 0:
                 raise AbortedError() from err
 
     # -- barrier --------------------------------------------------------------------
 
-    def barrier(self) -> None:
-        """Team barrier with abort notification and hang detection."""
+    def barrier(self) -> Generator:
+        """Team barrier; a thread that never arrives shows up as a
+        structural deadlock."""
         if self.size == 1:
             self.world.check_abort()
             return
-        self.world.yield_point(SchedPoint.OMP_BARRIER, f"r{self.proc.rank}")
-        deadline = self.world.clock() + self.world.timeout
-        with self._bar_cond:
-            gen = self._bar_gen
-            self._bar_count += 1
-            if self._bar_count == self.size:
-                self._bar_count = 0
-                self._bar_gen += 1
-                self.world.notify(self._bar_cond)
-                return
-            while self._bar_gen == gen:
-                self.world.check_abort()
-                if self.world.clock() > deadline:
-                    self.world.abort(DeadlockError(
-                        f"OpenMP barrier timed out on rank {self.proc.rank} "
-                        f"({self._bar_count}/{self.size} threads arrived) — "
-                        f"some thread never reaches the barrier"
-                    ))
-                    self.world.check_abort()
-                self.world.wait(
-                    self._bar_cond,
-                    f"rank {self.proc.rank} in omp barrier "
-                    f"({self._bar_count}/{self.size} arrived)",
-                    lambda: self._bar_gen != gen,
-                )
+        yield from self.world.yield_point(SchedPoint.OMP_BARRIER,
+                                          f"r{self.proc.rank}")
+        gen = self._bar_gen
+        self._bar_count += 1
+        if self._bar_count == self.size:
+            self._bar_count = 0
+            self._bar_gen += 1
+            self.world.notify(self._barrier)
+            return
+        while self._bar_gen == gen:
+            self.world.check_abort()
+            yield from self.world.wait(
+                self._barrier,
+                f"rank {self.proc.rank} in omp barrier "
+                f"({self._bar_count}/{self.size} arrived)",
+                lambda: self._bar_gen != gen,
+            )
 
     # -- worksharing --------------------------------------------------------------------
 
-    def claim(self, construct_uid: int, encounter: int, tid: int) -> bool:
+    def claim(self, construct_uid: int, encounter: int, tid: int) -> Generator:
         """First thread to claim ``(construct, encounter)`` wins (single)."""
-        self.world.yield_point(SchedPoint.CLAIM,
-                               f"r{self.proc.rank}t{tid}u{construct_uid}")
-        with self._claim_lock:
-            key = (construct_uid, encounter)
-            won = key not in self._claims
-            if won:
-                self._claims[key] = tid
+        yield from self.world.yield_point(
+            SchedPoint.CLAIM, f"r{self.proc.rank}t{tid}u{construct_uid}")
+        key = (construct_uid, encounter)
+        won = key not in self._claims
+        if won:
+            self._claims[key] = tid
         self.world.note_observation(("claim", construct_uid, encounter, won))
         return won
 

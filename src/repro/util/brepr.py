@@ -5,9 +5,9 @@ CPython 3.11 caps ``int → str`` conversion at 4300 digits and raises
 ``x = x * x`` loop squares its way to astronomically large values within
 a handful of iterations), and two hashing paths in the runtime feed raw
 cell values through ``repr``: the interpreter's shared-state fingerprint
-(:meth:`Interpreter._shared_state`) and the cooperative scheduler's
-per-thread observation hash (:meth:`SchedHooks.note_observation`).  An
-unbounded ``repr`` there kills the rank thread mid-run, which presents as
+(:meth:`Interpreter._shared_state`) and the scheduler's per-thread
+observation hash (:meth:`Scheduler.note_observation`).  An unbounded
+``repr`` there kills the rank's logical thread mid-run, which presents as
 a world deadlock or an ``internal error`` crash — both found by the
 coverage-guided fuzz campaign (see ``docs/fuzzing.md``).
 

@@ -13,8 +13,8 @@ no sink is installed — the production cost of an instrumented path.
 ``collecting()`` installs a fresh sink for a ``with`` block and yields the
 counter dict.  Sinks are per-thread by design: a fuzz seed body evaluates
 generation + analysis synchronously on one thread, so probes fired by
-*other* threads (simulated ranks, pool workers, a timed-out zombie seed —
-see ``docs/fuzzing.md``) can never leak into another seed's signature.
+*other* threads (pool workers, a timed-out zombie seed — see
+``docs/fuzzing.md``) can never leak into another seed's signature.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """CLI tests (driving repro.cli.main directly)."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -97,6 +99,52 @@ def test_run_buggy_raw_deadlocks(buggy_file, capsys):
     rc = main(["run", buggy_file, "-np", "2", "--timeout", "4"])
     assert rc == 1
     assert "DeadlockError" in capsys.readouterr().err
+
+
+SPIN = """
+void main() {
+    int x = 0;
+    while (true) {
+        x = x + 1;
+    }
+}
+"""
+
+
+@pytest.fixture
+def spin_file(tmp_path):
+    path = tmp_path / "spin.mc"
+    path.write_text(SPIN)
+    return str(path)
+
+
+def test_run_stops_a_program_that_loops_forever_at_the_timeout(spin_file,
+                                                               capsys):
+    rc = main(["run", spin_file, "-np", "2", "--timeout", "0.3"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "verdict: DeadlockError" in err
+    assert "run stalled: r0 still running after 0.3 s" in err
+    assert "Traceback" not in err
+
+
+def test_explore_stops_a_program_that_loops_forever_at_the_step_budget(
+        spin_file, capsys, monkeypatch):
+    # A smaller virtual budget keeps the test fast; the path is the default.
+    monkeypatch.setattr("repro.runtime.run.DEFAULT_STEP_BUDGET", 5000.0)
+    outputs = []
+    for _ in range(2):
+        rc = main(["explore", spin_file, "--strategy", "dpor", "--json"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "Traceback" not in captured.err
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]  # a virtual budget is deterministic
+    findings = json.loads(outputs[0])["findings"]
+    assert findings and all(f["verdict_class"] == "DeadlockError"
+                            for f in findings)
+    assert "run stalled: r0 still running after 5000 steps" \
+        in findings[0]["verdict"]
 
 
 def test_cfg_dot_output(buggy_file, capsys):

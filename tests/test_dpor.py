@@ -2,10 +2,13 @@
 visits a subset of the bounded-DFS schedules yet finds the identical
 verdict set), the headline reduction on the seeded racy gallery case, the
 byte-identical parallel frontier (``--jobs``), footprint commutativity,
-trace v1/v2 compatibility, random-strategy dedupe and the wall-clock
-budget."""
+trace v1/v2 compatibility, random-strategy dedupe, the wall-clock
+budget, and determinism: a sweep is one OS thread, so its schedule counts
+cannot depend on how the interpreter switches OS threads."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -235,3 +238,45 @@ def test_run_record_is_picklable():
     assert record2.events == record.events
     assert record2.fingerprints == record.fingerprints
     assert isinstance(record2, RunRecord)
+
+
+# -- determinism ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, nt, runs", [
+    ("barrier_in_parallel", 2, 300),
+    ("concurrent_singles_nowait", 3, 200),
+])
+def test_dpor_sweep_is_deterministic_under_fast_thread_switching(name, nt,
+                                                                runs):
+    program = _program(name)
+    config = ExploreConfig(nprocs=2, num_threads=nt)
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        outcomes = set()
+        for _ in range(5):
+            report = explore_config(program, config, strategy="dpor",
+                                    runs=runs, minimize=False)
+            outcomes.add((report.schedules,
+                          tuple(sorted(report.verdict_counts.items()))))
+    finally:
+        sys.setswitchinterval(previous)
+    assert len(outcomes) == 1, outcomes
+
+
+def test_gallery_dpor_sweep_starts_no_os_thread(monkeypatch):
+    started = []
+    original = threading.Thread.start
+
+    def counted_start(thread, *args, **kwargs):
+        started.append(thread.name)
+        return original(thread, *args, **kwargs)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    for name in sorted(CASES):
+        report = explore_config(_program(name),
+                                ExploreConfig(nprocs=2, num_threads=2),
+                                strategy="dpor", runs=20)
+        assert report.schedules > 0
+    assert started == []

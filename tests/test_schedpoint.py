@@ -1,21 +1,23 @@
-"""Threaded-mode SchedPoint behavior: blocked waits are *notified* (on
-state change and on abort) instead of busy-polling, with only a coarse
-fallback timeout as a safety net."""
+"""SchedPoint behavior of the generator runtime: a blocked wait is woken by
+notification (on state change and on abort), never by a deadline or by
+polling, and critical sections exclude each other under any schedule."""
 
 import time
 
+from repro.explore import RandomStrategy, Scheduler
 from repro.mpi.thread_levels import ThreadLevel
-from repro.runtime import MpiWorld, ValidationError
+from repro.runtime import MpiWorld, SchedPoint, ValidationError
 from repro.runtime.simmpi.process import CriticalSection
+from repro.runtime.simomp import Team
 
 
 def test_abort_wakes_a_blocked_collective_promptly():
-    """rank 0 blocks in a collective round with a *long* deadline; rank 1
+    """rank 0 blocks in a collective round with a *long* budget; rank 1
     errors after 0.3 s.  The abort must wake rank 0 by notification — well
-    before the 30 s deadline that the old poll loop relied on."""
+    before the 30 s budget."""
     def body(proc):
         if proc.rank == 0:
-            proc.collective("MPI_Barrier", (), None)
+            yield from proc.collective("MPI_Barrier", (), None)
         else:
             time.sleep(0.3)
             raise ValidationError("boom")
@@ -31,7 +33,7 @@ def test_abort_wakes_a_blocked_collective_promptly():
 def test_abort_wakes_a_blocked_recv_promptly():
     def body(proc):
         if proc.rank == 0:
-            return proc.recv(1, 5)
+            return (yield from proc.recv(1, 5))
         time.sleep(0.3)
         raise ValidationError("p2p abort")
 
@@ -46,9 +48,9 @@ def test_send_wakes_matching_recv():
     def body(proc):
         if proc.rank == 0:
             time.sleep(0.1)
-            proc.send(1, 3, "late")
+            yield from proc.send(1, 3, "late")
             return None
-        return proc.recv(0, 3)
+        return (yield from proc.recv(0, 3))
 
     world = MpiWorld(2, timeout=30.0)
     result = world.run(body)
@@ -56,29 +58,33 @@ def test_send_wakes_matching_recv():
     assert result.returns[1] == "late"
 
 
-def test_critical_section_is_mutually_exclusive_threaded():
-    def body(proc):
-        section = proc.critical_lock("c")
-        counts = []
+def test_critical_section_is_mutually_exclusive_under_any_schedule():
+    """Four team threads bump a counter inside one critical section, with
+    a SchedPoint inside it so the random schedules switch threads while the
+    section is held."""
+    for seed in range(20):
+        def body(proc):
+            section = proc.critical_lock("c")
+            team = Team(proc.world, proc, 4)
+            counts = []
 
-        def bump():
-            with section:
-                current = len(counts)
-                time.sleep(0.01)
-                counts.append(current)
+            def bump(tid):
+                yield from section.acquire()
+                try:
+                    current = len(counts)
+                    yield from proc.world.yield_point(SchedPoint.CHECK, "held")
+                    counts.append(current)
+                finally:
+                    section.release()
 
-        import threading
-        threads = [threading.Thread(target=bump) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        return counts
+            yield from team.run(bump)
+            return counts
 
-    world = MpiWorld(1, timeout=5.0)
-    result = world.run(body)
-    assert result.ok
-    assert result.returns[0] == [0, 1, 2, 3]  # strictly serialized
+        world = MpiWorld(1, timeout=5.0, scheduler=Scheduler(
+            RandomStrategy(seed=seed)))
+        result = world.run(body)
+        assert result.ok
+        assert result.returns[0] == [0, 1, 2, 3]  # strictly serialized
 
 
 def test_critical_lock_returns_same_section_per_name():
@@ -91,8 +97,8 @@ def test_critical_lock_returns_same_section_per_name():
 
 def test_run_result_carries_engine_history():
     def body(proc):
-        proc.collective("MPI_Barrier", (), None)
-        proc.collective("MPI_Allreduce", ("sum",), proc.rank)
+        yield from proc.collective("MPI_Barrier", (), None)
+        yield from proc.collective("MPI_Allreduce", ("sum",), proc.rank)
 
     world = MpiWorld(2, timeout=5.0)
     result = world.run(body)

@@ -4,11 +4,13 @@ detection, thread levels, point-to-point."""
 import pytest
 
 from repro.mpi.thread_levels import ThreadLevel
-from repro.runtime import DeadlockError, MpiWorld
+from repro.runtime import DeadlockError, MpiWorld, ThreadLevelError
 from repro.runtime.simmpi import ops
+from repro.runtime.simomp import Team
 
 
 def run_world(nprocs, fn, thread_level=ThreadLevel.MULTIPLE, timeout=3.0):
+    """Run ``fn(proc)`` — a generator, each rank's logical thread."""
     world = MpiWorld(nprocs, thread_level=thread_level, timeout=timeout)
     return world.run(fn)
 
@@ -85,8 +87,8 @@ def test_unknown_collective_rejected():
 
 def test_barrier_and_allreduce_across_ranks():
     def body(proc):
-        proc.collective("MPI_Barrier", (), None)
-        return proc.collective("MPI_Allreduce", ("sum",), proc.rank + 1)
+        yield from proc.collective("MPI_Barrier", (), None)
+        return (yield from proc.collective("MPI_Allreduce", ("sum",), proc.rank + 1))
 
     result = run_world(3, body)
     assert result.ok, result.error
@@ -97,7 +99,7 @@ def test_repeated_collectives_many_rounds():
     def body(proc):
         acc = 0
         for i in range(20):
-            acc = proc.collective("MPI_Allreduce", ("sum",), i)
+            acc = yield from proc.collective("MPI_Allreduce", ("sum",), i)
         return acc
 
     result = run_world(2, body)
@@ -108,9 +110,9 @@ def test_repeated_collectives_many_rounds():
 def test_mismatched_ops_detected_as_deadlock():
     def body(proc):
         if proc.rank == 0:
-            proc.collective("MPI_Barrier", (), None)
+            yield from proc.collective("MPI_Barrier", (), None)
         else:
-            proc.collective("MPI_Allreduce", ("sum",), 1)
+            yield from proc.collective("MPI_Allreduce", ("sum",), 1)
 
     result = run_world(2, body)
     assert isinstance(result.error, DeadlockError)
@@ -119,7 +121,7 @@ def test_mismatched_ops_detected_as_deadlock():
 
 def test_mismatched_roots_detected():
     def body(proc):
-        proc.collective("MPI_Bcast", (proc.rank,), 1)
+        yield from proc.collective("MPI_Bcast", (proc.rank,), 1)
 
     result = run_world(2, body)
     assert isinstance(result.error, DeadlockError)
@@ -129,7 +131,7 @@ def test_mismatched_roots_detected():
 def test_rank_exiting_early_deadlocks_peers():
     def body(proc):
         if proc.rank == 0:
-            proc.collective("MPI_Barrier", (), None)
+            yield from proc.collective("MPI_Barrier", (), None)
         # rank 1 returns immediately
 
     result = run_world(2, body)
@@ -139,8 +141,8 @@ def test_rank_exiting_early_deadlocks_peers():
 
 def test_engine_history_records_rounds():
     def body(proc):
-        proc.collective("MPI_Barrier", (), None)
-        proc.collective("MPI_Allreduce", ("sum",), 1)
+        yield from proc.collective("MPI_Barrier", (), None)
+        yield from proc.collective("MPI_Allreduce", ("sum",), 1)
 
     world = MpiWorld(2, timeout=3.0)
     world.run(body)
@@ -153,9 +155,9 @@ def test_engine_history_records_rounds():
 def test_send_recv_roundtrip():
     def body(proc):
         if proc.rank == 0:
-            proc.send(1, 7, "payload")
+            yield from proc.send(1, 7, "payload")
             return None
-        return proc.recv(0, 7)
+        return (yield from proc.recv(0, 7))
 
     result = run_world(2, body)
     assert result.ok
@@ -165,9 +167,9 @@ def test_send_recv_roundtrip():
 def test_recv_wildcards():
     def body(proc):
         if proc.rank == 0:
-            proc.send(1, 42, "x")
+            yield from proc.send(1, 42, "x")
             return None
-        return proc.recv(-1, -1)
+        return (yield from proc.recv(-1, -1))
 
     result = run_world(2, body)
     assert result.returns[1] == "x"
@@ -176,7 +178,7 @@ def test_recv_wildcards():
 def test_recv_without_send_deadlocks():
     def body(proc):
         if proc.rank == 1:
-            return proc.recv(0, 9)
+            return (yield from proc.recv(0, 9))
         return None
 
     result = run_world(2, body, timeout=1.0)
@@ -190,8 +192,8 @@ def test_finalize_then_call_is_error():
     from repro.runtime import MpiRuntimeError
 
     def body(proc):
-        proc.collective("MPI_Finalize", (), None)
-        proc.collective("MPI_Barrier", (), None)
+        yield from proc.collective("MPI_Finalize", (), None)
+        yield from proc.collective("MPI_Barrier", (), None)
 
     result = run_world(2, body)
     assert isinstance(result.error, MpiRuntimeError)
@@ -199,9 +201,37 @@ def test_finalize_then_call_is_error():
 
 def test_init_thread_caps_at_world_level():
     def body(proc):
+        yield from ()  # a logical thread with nothing to block on
         granted = proc.init_thread(3)
         return granted
 
     world = MpiWorld(1, thread_level=ThreadLevel.SERIALIZED, timeout=2.0)
     result = world.run(body)
     assert result.returns[0] == ThreadLevel.SERIALIZED.value
+
+
+def _funneled_region(caller_tid):
+    """Rank body: MPI_THREAD_FUNNELED, then a 2-thread region whose thread
+    ``caller_tid`` calls MPI_Barrier."""
+    def body(proc):
+        proc.init_thread(ThreadLevel.FUNNELED.value)
+        team = Team(proc.world, proc, 2)
+
+        def tbody(tid):
+            if tid == caller_tid:
+                yield from proc.collective("MPI_Barrier", (), None)
+
+        yield from team.run(tbody)
+    return body
+
+
+def test_funneled_rejects_an_mpi_call_from_a_worker():
+    result = run_world(2, _funneled_region(caller_tid=1))
+    assert isinstance(result.error, ThreadLevelError)
+    assert "non-master thread" in str(result.error)
+
+
+def test_funneled_allows_the_master_inside_a_region():
+    result = run_world(2, _funneled_region(caller_tid=0))
+    assert result.ok, result.error
+    assert [op for op, _ in result.history] == ["MPI_Barrier"]

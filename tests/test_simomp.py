@@ -1,6 +1,8 @@
-"""OpenMP-like runtime tests: teams, barriers, single claims, worksharing."""
+"""OpenMP-like runtime tests: teams, barriers, single claims, worksharing.
 
-import threading
+Rank bodies and team bodies are generators — the logical threads the
+scheduler interleaves; ``yield from ()`` marks one with nothing to block on.
+"""
 
 import pytest
 
@@ -16,16 +18,15 @@ def with_world(fn, timeout=3.0):
 
 def test_team_runs_all_tids():
     seen = []
-    lock = threading.Lock()
 
     def body(proc):
         team = Team(proc.world, proc, 4)
 
         def tbody(tid):
-            with lock:
-                seen.append(tid)
+            yield from ()
+            seen.append(tid)
 
-        team.run(tbody)
+        yield from team.run(tbody)
 
     result = with_world(body)
     assert result.ok
@@ -36,8 +37,13 @@ def test_team_size_one_runs_inline():
     def body(proc):
         team = Team(proc.world, proc, 1)
         holder = []
-        team.run(lambda tid: holder.append(threading.current_thread()))
-        return holder[0] is threading.current_thread()
+
+        def tbody(tid):
+            yield from ()
+            holder.append(proc.world.scheduler.current_thread())
+
+        yield from team.run(tbody)
+        return holder[0] == proc.world.scheduler.current_thread()
 
     result = with_world(body)
     assert result.returns[0] is True
@@ -48,18 +54,15 @@ def test_barrier_synchronizes_phases():
         team = Team(proc.world, proc, 3)
         phase1 = []
         phase2 = []
-        lock = threading.Lock()
 
         def tbody(tid):
-            with lock:
-                phase1.append(tid)
-            team.barrier()
+            phase1.append(tid)
+            yield from team.barrier()
             # all phase1 entries must exist before any phase2 entry
-            with lock:
-                assert len(phase1) == 3
-                phase2.append(tid)
+            assert len(phase1) == 3
+            phase2.append(tid)
 
-        team.run(tbody)
+        yield from team.run(tbody)
         return len(phase2)
 
     result = with_world(body)
@@ -71,16 +74,14 @@ def test_single_claim_exactly_one_winner_per_encounter():
     def body(proc):
         team = Team(proc.world, proc, 4)
         wins = {0: [], 1: []}
-        lock = threading.Lock()
 
         def tbody(tid):
             for encounter in (0, 1):
-                if team.claim(99, encounter, tid):
-                    with lock:
-                        wins[encounter].append(tid)
-                team.barrier()
+                if (yield from team.claim(99, encounter, tid)):
+                    wins[encounter].append(tid)
+                yield from team.barrier()
 
-        team.run(tbody)
+        yield from team.run(tbody)
         return {k: len(v) for k, v in wins.items()}
 
     result = with_world(body)
@@ -89,6 +90,7 @@ def test_single_claim_exactly_one_winner_per_encounter():
 
 def test_static_chunks_partition_iteration_space():
     def body(proc):
+        yield from ()
         team = Team(proc.world, proc, 3)
         chunks = [team.static_chunk(tid, 10) for tid in range(3)]
         flat = [i for c in chunks for i in c]
@@ -100,6 +102,7 @@ def test_static_chunks_partition_iteration_space():
 
 def test_static_chunks_empty_when_fewer_iterations_than_threads():
     def body(proc):
+        yield from ()
         team = Team(proc.world, proc, 4)
         sizes = [len(team.static_chunk(tid, 2)) for tid in range(4)]
         return sizes
@@ -110,6 +113,7 @@ def test_static_chunks_empty_when_fewer_iterations_than_threads():
 
 def test_section_owner_round_robin():
     def body(proc):
+        yield from ()
         team = Team(proc.world, proc, 2)
         return [team.section_owner(i) for i in range(5)]
 
@@ -123,10 +127,10 @@ def test_barrier_timeout_when_thread_never_arrives():
 
         def tbody(tid):
             if tid == 0:
-                team.barrier()
+                yield from team.barrier()
             # tid 1 never reaches the barrier
 
-        team.run(tbody)
+        yield from team.run(tbody)
 
     result = with_world(body, timeout=0.5)
     assert isinstance(result.error, DeadlockError)
@@ -142,9 +146,9 @@ def test_validation_error_in_worker_aborts_world():
         def tbody(tid):
             if tid == 2:
                 raise ValidationError("boom")
-            team.barrier()
+            yield from team.barrier()
 
-        team.run(tbody)
+        yield from team.run(tbody)
 
     result = with_world(body, timeout=1.0)
     assert result.error is not None
@@ -155,18 +159,17 @@ def test_nested_teams():
     def body(proc):
         outer = Team(proc.world, proc, 2)
         counts = []
-        lock = threading.Lock()
 
         def obody(otid):
             inner = Team(proc.world, proc, 2)
 
             def ibody(itid):
-                with lock:
-                    counts.append((otid, itid))
+                yield from ()
+                counts.append((otid, itid))
 
-            inner.run(ibody)
+            yield from inner.run(ibody)
 
-        outer.run(obody)
+        yield from outer.run(obody)
         return sorted(counts)
 
     result = with_world(body)
