@@ -51,6 +51,8 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..minilang import ast_nodes as A
+from ..minilang.parser import parse_program
 from ..util.faultinject import fault_site, quarantine_thread, release_quarantine
 from ..util.probe import collecting
 from .coverage import (
@@ -257,21 +259,26 @@ def fuzz_one(seed: int,
     the campaign scheduler runs at generator speed, which is what the
     coverage-vs-open-loop acceptance test measures."""
 
-    def run_body() -> Tuple[str, OracleVerdict]:
+    def run_body() -> Tuple[str, OracleVerdict, Optional[A.Program]]:
         fault_site("fuzz.seed")
         source = program_for_seed(seed, gen_config)
         if dry_run:
-            return source, OracleVerdict(classification=AGREE)
-        return source, run_oracle(source, oracle_config,
-                                  name=f"<fuzz seed={seed}>")
+            return source, OracleVerdict(classification=AGREE), None
+        name = f"<fuzz seed={seed}>"
+        # Coverage walks the program the oracle checked instead of parsing
+        # the source a second time; a parse failure is left to the oracle.
+        program = _parse_or_none(source, name) if coverage else None
+        return (source, run_oracle(source, oracle_config, name=name,
+                                   program=program), program)
 
     def body():
         if not coverage:
-            return run_body() + (None,)
+            return run_body()[:2] + (None,)
         with collecting() as counts:
-            source, verdict = run_body()
+            source, verdict, program = run_body()
         sig = signature_for(counts, source=source,
-                            classification=verdict.classification)
+                            classification=verdict.classification,
+                            program=program)
         return source, verdict, sig
 
     def crash_outcome(detail: str) -> SeedOutcome:
@@ -294,6 +301,13 @@ def fuzz_one(seed: int,
     source, verdict, sig = result
     return SeedOutcome(seed=seed, classification=verdict.classification,
                        verdict=verdict, source=source, signature=sig)
+
+
+def _parse_or_none(source: str, name: str) -> Optional[A.Program]:
+    try:
+        return parse_program(source, name)
+    except Exception:  # noqa: BLE001 - the oracle reports it as a crash
+        return None
 
 
 def _fuzz_seed_task(payload: Tuple[int, GenConfig, OracleConfig,

@@ -117,11 +117,16 @@ def probe_features(counts: Dict[str, int]) -> List[str]:
 
 def signature_for(counts: Dict[str, int],
                   source: Optional[str] = None,
-                  classification: Optional[str] = None) -> CoverageSignature:
+                  classification: Optional[str] = None,
+                  program: Optional[A.Program] = None) -> CoverageSignature:
     """Fold probe counters, structural source features and the oracle
-    class into one signature."""
+    class into one signature.  ``program`` is ``source`` already parsed,
+    when the caller has it; the features are then walked without a
+    second parse."""
     feats: Set[str] = set(probe_features(counts))
-    if source is not None:
+    if program is not None:
+        feats.update(program_features(program))
+    elif source is not None:
         feats.update(source_features(source))
     if classification is not None:
         feats.add("oracle:" + classification)
@@ -143,7 +148,12 @@ def source_features(source: str) -> List[str]:
         program = parse_program(source, "<coverage>")
     except Exception:  # noqa: BLE001 - one bucket for all parse failures
         return ["src:unparsed"]
+    return program_features(program)
 
+
+def program_features(program: A.Program) -> List[str]:
+    """Walk a parsed program into the structural coverage features of
+    :func:`source_features`."""
     feats: Set[str] = set()
     counts: Dict[str, int] = {}
 

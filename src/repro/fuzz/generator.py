@@ -503,10 +503,14 @@ def _mutate_once(source: str, seed: int) -> str:
         return source
     start = rng.randrange(len(sites))
     for offset in range(len(sites)):
-        # Re-parse per attempt: mutations are applied in place.
-        program = parse_program(source, "<mutate>")
+        # Mutations are applied in place: the first attempt mutates
+        # ``base``, every later one a fresh re-parse.
+        if offset == 0:
+            program, fresh = base, sites
+        else:
+            program = parse_program(source, "<mutate>")
+            fresh = _mutation_sites(program)
         attempt_rng = random.Random(seed * 1_000_003 + offset)
-        fresh = _mutation_sites(program)
         if len(fresh) != len(sites):  # defensive; walks are deterministic
             return source
         kind, node = fresh[(start + offset) % len(fresh)]

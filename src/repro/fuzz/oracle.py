@@ -46,6 +46,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core import analyze_program, instrument_program
 from ..explore import DefaultStrategy, ExploreConfig, explore_config, run_scheduled
 from ..explore.trace import verdict_line
+from ..minilang import ast_nodes as A
 from ..minilang.parser import parse_program
 from ..minilang.semantics import check_program
 from ..mpi.thread_levels import ThreadLevel
@@ -176,15 +177,19 @@ def _diag_codes(diags) -> Tuple[str, ...]:
 
 def run_oracle(source: str,
                config: OracleConfig = OracleConfig(),
-               name: str = "<fuzz>") -> OracleVerdict:
+               name: str = "<fuzz>",
+               program: Optional[A.Program] = None) -> OracleVerdict:
     """Run every verdict source over ``source`` and classify the agreement.
 
-    Never raises for program-level problems: anything unexpected comes back
-    as a ``crash`` verdict with ``crash_detail`` naming the phase."""
+    ``program`` is ``source`` already parsed under ``name``, when the
+    caller has it; the oracle only reads it.  Never raises for
+    program-level problems: anything unexpected comes back as a ``crash``
+    verdict with ``crash_detail`` naming the phase."""
     fault_site("fuzz.oracle")
     # -- front end -----------------------------------------------------------
     try:
-        program = parse_program(source, name)
+        if program is None:
+            program = parse_program(source, name)
         issues = check_program(program)
     except Exception as exc:  # noqa: BLE001 - classified, not propagated
         return OracleVerdict(classification=CRASH,

@@ -311,7 +311,7 @@ def test_campaign_dedupes_duplicate_findings(monkeypatch):
     disagreement entry + a duplicate count, not two entries."""
     import repro.fuzz.campaign as campaign
 
-    def fake_oracle(source, config=None, name=""):
+    def fake_oracle(source, config=None, name="", program=None):
         return OracleVerdict(classification=STATIC_MISS_CLS,
                              raw_verdict=f"Deadlock[{name}]")
 
