@@ -1,8 +1,10 @@
 #!/usr/bin/env python
 """Export the scale/exploration/fuzzing benchmark results to ``BENCH_scale.json``.
 
-Runs ``benchmarks/bench_scale.py``, ``benchmarks/bench_explore.py`` and
-``benchmarks/bench_fuzz.py`` under pytest-benchmark, then compacts the raw
+Runs ``benchmarks/bench_scale.py``, ``benchmarks/bench_explore.py``,
+``benchmarks/bench_fuzz.py``, ``benchmarks/bench_incremental.py``,
+``benchmarks/bench_project.py`` and ``benchmarks/bench_frontend.py`` under
+pytest-benchmark, then compacts the raw
 report into a small, diff-friendly JSON checked into the repository so the
 performance trajectory is tracked PR over PR::
 
@@ -28,7 +30,9 @@ The compact schema::
         "fuzz_programs_per_sec": {"fuzz_oracle": 40.1, ...},  # oracle rate
         "interproc_overhead": {"D32": 1.6, ...},  # interproc / intraproc mean
         "project_edit_speedup": {"P100": 8.0},  # cold project / one-file edit
-        "project_assembly_ratio": 1.7           # edit @P1000 / edit @P100
+        "project_assembly_ratio": 1.7,          # edit @P1000 / edit @P100
+        "frontend_speedup": {"tokenize": 5.8, "parse_program": 3.4}
+                                                # reference mean / mean, XL
       }
     }
 """
@@ -59,6 +63,7 @@ def run_benchmarks(raw_json: str) -> None:
         os.path.join(HERE, "bench_fuzz.py"),
         os.path.join(HERE, "bench_incremental.py"),
         os.path.join(HERE, "bench_project.py"),
+        os.path.join(HERE, "bench_frontend.py"),
         "-q", "--benchmark-only", f"--benchmark-json={raw_json}",
     ]
     subprocess.run(cmd, check=True, cwd=REPO, env=env)
@@ -184,6 +189,16 @@ def compact(raw: dict) -> dict:
         derived["fuzz_coverage_overhead"] = overhead_cov
     if findings_per_kseed:
         derived["distinct_findings_per_kseed"] = findings_per_kseed
+    frontend = {
+        name: round(by_config["reference_" + name]["XL"]
+                    / by_config[name]["XL"], 2)
+        for name in ("tokenize", "parse_program")
+        if by_config.get(name, {}).get("XL")
+        and by_config.get("reference_" + name, {}).get("XL")
+    }
+    if frontend:
+        # Gated >= 3x / >= 2x by bench_frontend.test_frontend_speedup_threshold.
+        derived["frontend_speedup"] = frontend
     return {
         "suite": "bench_scale",
         "python": platform.python_version(),

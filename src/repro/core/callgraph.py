@@ -537,8 +537,14 @@ class FunctionSummary:
         return ", ".join(f"{n} [{c}]" for n, c in sorted(self.collectives.items()))
 
 
+#: Statement uid -> the calls in that statement's own expressions (not in
+#: nested statements), read off the :class:`ProgramIndex`.
+StmtCalls = Dict[int, List[A.Call]]
+
+
 def _summarize_block(stmts: List[A.Stmt], summaries: Dict[str, FunctionSummary],
-                     names: Set[str]) -> Tuple[Set[str], Set[str], bool]:
+                     names: Set[str], calls: StmtCalls
+                     ) -> Tuple[Set[str], Set[str], bool]:
     """Return ``(may, must, exits_early)`` for a statement sequence.
 
     ``must`` is a conservative under-approximation: accumulation stops at
@@ -549,7 +555,7 @@ def _summarize_block(stmts: List[A.Stmt], summaries: Dict[str, FunctionSummary],
     must: Set[str] = set()
     exited = False
     for stmt in stmts:
-        s_may, s_must, s_exit = _summarize_stmt(stmt, summaries, names)
+        s_may, s_must, s_exit = _summarize_stmt(stmt, summaries, names, calls)
         may |= s_may
         if not exited:
             must |= s_must
@@ -558,20 +564,15 @@ def _summarize_block(stmts: List[A.Stmt], summaries: Dict[str, FunctionSummary],
     return may, must, exited
 
 
-def _calls_in_exprs(stmt: A.Stmt) -> List[A.Call]:
-    """Call nodes hanging off ``stmt``'s expression fields (not nested
-    statements) — pre-order, source order."""
-    out: List[A.Call] = []
-    stack: List[A.Node] = [
-        child for child in stmt.children() if isinstance(child, A.Expr)
-    ]
-    stack.reverse()
-    while stack:
-        node = stack.pop()
-        if isinstance(node, A.Call):
-            out.append(node)
-        stack.extend(reversed([c for c in node.children()
-                               if isinstance(c, A.Expr)]))
+def _stmt_calls(name: str, index: ProgramIndex) -> StmtCalls:
+    """Every call of ``name`` keyed by its innermost enclosing statement:
+    a call statement's own call, and each expression-embedded call under
+    the first uid of its anchor chain."""
+    out: StmtCalls = {}
+    for stmt in index.call_stmts.get(name, ()):
+        out.setdefault(stmt.uid, []).append(stmt.expr)
+    for site in index.expr_calls.get(name, ()):
+        out.setdefault(site.stmt_uids[0], []).append(site.call)
     return out
 
 
@@ -589,10 +590,11 @@ def _call_effect(call: A.Call, summaries: Dict[str, FunctionSummary],
 
 
 def _summarize_stmt(stmt: A.Stmt, summaries: Dict[str, FunctionSummary],
-                    names: Set[str]) -> Tuple[Set[str], Set[str], bool]:
+                    names: Set[str], calls: StmtCalls
+                    ) -> Tuple[Set[str], Set[str], bool]:
     may: Set[str] = set()
     must: Set[str] = set()
-    for call in _calls_in_exprs(stmt):
+    for call in calls.get(stmt.uid, ()):
         c_may, c_must = _call_effect(call, summaries, names)
         may |= c_may
         must |= c_must
@@ -600,51 +602,59 @@ def _summarize_stmt(stmt: A.Stmt, summaries: Dict[str, FunctionSummary],
     if isinstance(stmt, (A.Return, A.Break, A.Continue)):
         return may, must, True
     if isinstance(stmt, A.Block):
-        b_may, b_must, b_exit = _summarize_block(stmt.stmts, summaries, names)
+        b_may, b_must, b_exit = _summarize_block(stmt.stmts,
+                                                 summaries, names, calls)
         return may | b_may, must | b_must, b_exit
     if isinstance(stmt, A.If):
         t_may, t_must, t_exit = _summarize_block(stmt.then_body.stmts,
-                                                 summaries, names)
+                                                 summaries, names, calls)
         may |= t_may
         if stmt.else_body is not None:
             e_may, e_must, e_exit = _summarize_block(stmt.else_body.stmts,
-                                                     summaries, names)
+                                                     summaries, names, calls)
             may |= e_may
             must |= t_must & e_must
             return may, must, t_exit or e_exit
         return may, must, t_exit
     if isinstance(stmt, A.While):
-        body_may, _must, _exit = _summarize_block(stmt.body.stmts, summaries, names)
+        body_may, _must, _exit = _summarize_block(stmt.body.stmts,
+                                                  summaries, names, calls)
         return may | body_may, must, False
     if isinstance(stmt, (A.For, A.OmpFor)):
         loop = stmt.loop if isinstance(stmt, A.OmpFor) else stmt
         if loop.init is not None:  # runs once, before the first test
-            i_may, i_must, _exit = _summarize_stmt(loop.init, summaries, names)
+            i_may, i_must, _exit = _summarize_stmt(loop.init,
+                                                   summaries, names, calls)
             may |= i_may
             must |= i_must
         if isinstance(stmt, A.OmpFor) and loop.cond is not None:
             # The inner For is a statement child, so its condition was not
             # picked up by the expression scan above.
-            for call in _calls_in_exprs(loop):
+            for call in calls.get(loop.uid, ()):
                 c_may, _c_must, = _call_effect(call, summaries, names)
                 may |= c_may
         if loop.step is not None:  # zero-trip loops skip it: may only
-            s_may, _s_must, _exit = _summarize_stmt(loop.step, summaries, names)
+            s_may, _s_must, _exit = _summarize_stmt(loop.step,
+                                                    summaries, names, calls)
             may |= s_may
-        body_may, _must, _exit = _summarize_block(loop.body.stmts, summaries, names)
+        body_may, _must, _exit = _summarize_block(loop.body.stmts,
+                                                  summaries, names, calls)
         return may | body_may, must, False
     if isinstance(stmt, A.OmpTask):
         # Deferred execution: counts as "may", never as "must".
-        body_may, _must, _exit = _summarize_block(stmt.body.stmts, summaries, names)
+        body_may, _must, _exit = _summarize_block(stmt.body.stmts,
+                                                  summaries, names, calls)
         return may | body_may, must, False
     if isinstance(stmt, (A.OmpParallel, A.OmpSingle, A.OmpMaster, A.OmpCritical)):
         # Per MPI process the region body executes (by the team, one thread,
         # or the master — all at least once per process).
-        b_may, b_must, _exit = _summarize_block(stmt.body.stmts, summaries, names)
+        b_may, b_must, _exit = _summarize_block(stmt.body.stmts,
+                                                summaries, names, calls)
         return may | b_may, must | b_must, False
     if isinstance(stmt, A.OmpSections):
         for section in stmt.sections:
-            s_may, s_must, _exit = _summarize_block(section.stmts, summaries, names)
+            s_may, s_must, _exit = _summarize_block(section.stmts,
+                                                    summaries, names, calls)
             may |= s_may
             must |= s_must
         return may, must, False
@@ -682,9 +692,12 @@ def _exit_reachable_avoiding(cfg, blocked: Set[int]) -> bool:
     return False
 
 
-def _build_cfg_facts(func: A.FuncDef, names: Set[str],
-                     index: ProgramIndex) -> _CfgFacts:
-    cfg, ast_block = build_cfg(func, names)
+def _build_cfg_facts(func: A.FuncDef, names: Set[str], index: ProgramIndex,
+                     cfgs: Dict[str, tuple]) -> _CfgFacts:
+    built = cfgs.get(func.name)
+    if built is None:
+        built = cfgs[func.name] = build_cfg(func, names)
+    cfg, ast_block = built
     task_uids: Set[int] = set()
     for node in func.walk():
         if isinstance(node, A.OmpTask):
@@ -717,20 +730,44 @@ def _build_cfg_facts(func: A.FuncDef, names: Set[str],
     return _CfgFacts(cfg=cfg, direct=direct, user_calls=tuple(user_calls))
 
 
+class _SummaryMemo:
+    """Per-function inputs of summary evaluation, derived at most once per
+    :func:`collective_summaries`/:func:`update_summaries` run (cyclic SCCs
+    evaluate a function several times)."""
+
+    def __init__(self, index: ProgramIndex, names: Set[str],
+                 cfgs: Optional[Dict[str, tuple]]) -> None:
+        self.index = index
+        self.names = names
+        #: name -> ``(cfg, ast_block)``; a caller-supplied dict both seeds
+        #: and receives the CFGs, so the caller can reuse them.
+        self.cfgs: Dict[str, tuple] = cfgs if cfgs is not None else {}
+        self.stmt_calls: Dict[str, StmtCalls] = {}
+        self.cfg_facts: Dict[str, _CfgFacts] = {}
+
+    def calls_of(self, name: str) -> StmtCalls:
+        calls = self.stmt_calls.get(name)
+        if calls is None:
+            calls = self.stmt_calls[name] = _stmt_calls(name, self.index)
+        return calls
+
+    def cfg_facts_of(self, func: A.FuncDef) -> _CfgFacts:
+        facts = self.cfg_facts.get(func.name)
+        if facts is None:
+            facts = self.cfg_facts[func.name] = _build_cfg_facts(
+                func, self.names, self.index, self.cfgs)
+        return facts
+
+
 def _recompute_summary(name: str, funcs: Dict[str, A.FuncDef],
-                       names: Set[str],
                        summaries: Dict[str, FunctionSummary],
-                       index: ProgramIndex,
-                       cfg_facts: Dict[str, _CfgFacts]) -> Dict[str, str]:
+                       memo: _SummaryMemo) -> Dict[str, str]:
     """One summary evaluation for ``name`` given the current ``summaries``
     of its callees: structural walk plus the CFG post-dominance upgrade."""
-    may, must, _exit = _summarize_block(funcs[name].body.stmts,
-                                        summaries, names)
+    may, must, _exit = _summarize_block(funcs[name].body.stmts, summaries,
+                                        memo.names, memo.calls_of(name))
     if may - must:
-        facts = cfg_facts.get(name)
-        if facts is None:
-            facts = cfg_facts[name] = _build_cfg_facts(funcs[name], names,
-                                                       index)
+        facts = memo.cfg_facts_of(funcs[name])
         for cname in sorted(may - must):
             blocked = set(facts.direct.get(cname, ()))
             for callee, block in facts.user_calls:
@@ -745,7 +782,8 @@ def collective_summaries(program: A.Program,
                          graph: Optional[CallGraph] = None,
                          index: Optional[ProgramIndex] = None,
                          prev: Optional[Dict[str, FunctionSummary]] = None,
-                         dirty: Optional[Set[str]] = None
+                         dirty: Optional[Set[str]] = None,
+                         cfgs: Optional[Dict[str, tuple]] = None
                          ) -> Dict[str, FunctionSummary]:
     """Always/conditionally/never summaries for every function — fixpoint
     over the SCC DAG, callees first; cyclic SCCs iterate until stable.
@@ -763,6 +801,10 @@ def collective_summaries(program: A.Program,
     propagates up the call graph exactly as far as summaries really change,
     and the common one-function edit costs one SCC recomputation plus
     O(call-graph) comparisons instead of a whole-program fixpoint.
+
+    ``cfgs`` (name -> ``(cfg, ast_block)`` of this program) supplies CFGs
+    for the post-dominance check and receives every CFG built for it, so a
+    caller that analyzes the same functions next builds none twice.
     """
     if index is None:
         index = index_program(program)
@@ -772,13 +814,13 @@ def collective_summaries(program: A.Program,
     names = set(funcs)
     summaries: Dict[str, FunctionSummary] = {n: FunctionSummary() for n in names}
     incremental = prev is not None and dirty is not None
-    #: Lazily built per function — only when the structural rule left some
-    #: may-collective conditional (most functions never need their CFG here).
-    cfg_facts: Dict[str, _CfgFacts] = {}
+    #: CFG facts are built lazily per function — only when the structural
+    #: rule left some may-collective conditional (most functions never need
+    #: their CFG here).
+    memo = _SummaryMemo(index, names, cfgs)
 
     def recompute(name: str) -> Dict[str, str]:
-        return _recompute_summary(name, funcs, names, summaries, index,
-                                  cfg_facts)
+        return _recompute_summary(name, funcs, summaries, memo)
 
     for scc in graph.sccs:  # reverse topological: callees already final
         members = list(scc)
@@ -855,7 +897,7 @@ def update_summaries(program: A.Program, graph: CallGraph,
             summaries[n] = known if known is not None else FunctionSummary()
         pending = {n for n in dirty if n in names}
         pending.update(n for n in names if n not in prev)
-    cfg_facts: Dict[str, _CfgFacts] = {}
+    memo = _SummaryMemo(index, names, None)
     heap = sorted({graph.scc_of[n] for n in pending})
     queued = set(heap)
     changed_names: Set[str] = set()
@@ -869,9 +911,8 @@ def update_summaries(program: A.Program, graph: CallGraph,
             name = members[0]
             fresh = FunctionSummary()
             summaries[name] = fresh
-            fresh.collectives = _recompute_summary(name, funcs, names,
-                                                   summaries, index,
-                                                   cfg_facts)
+            fresh.collectives = _recompute_summary(name, funcs, summaries,
+                                                   memo)
         else:
             for m in members:
                 summaries[m] = FunctionSummary()
@@ -879,8 +920,7 @@ def update_summaries(program: A.Program, graph: CallGraph,
             while iterating:
                 iterating = False
                 for m in members:
-                    new = _recompute_summary(m, funcs, names, summaries,
-                                             index, cfg_facts)
+                    new = _recompute_summary(m, funcs, summaries, memo)
                     if new != summaries[m].collectives:
                         summaries[m].collectives = new
                         iterating = True

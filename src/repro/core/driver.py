@@ -187,7 +187,8 @@ def build_plan(program: A.Program, index: ProgramIndex,
                entry_context: Word = EMPTY,
                graph: Optional[CallGraph] = None,
                contexts: Optional[ContextMap] = None,
-               summaries: Optional[Dict[str, FunctionSummary]] = None
+               summaries: Optional[Dict[str, FunctionSummary]] = None,
+               cfgs: Optional[Dict[str, tuple]] = None
                ) -> InterproceduralPlan:
     """Call graph + context propagation + summaries + expression-call
     sequence points for one program.
@@ -195,14 +196,16 @@ def build_plan(program: A.Program, index: ProgramIndex,
     The three whole-program passes can be supplied precomputed — the
     session layer builds the summaries incrementally (previous summaries +
     dirty set) and reuses this function only for the expression-call
-    sequence-point tail."""
+    sequence-point tail.  ``cfgs`` is handed to
+    :func:`~repro.core.callgraph.collective_summaries`, which reads CFGs
+    from it and adds the ones it builds."""
     if graph is None:
         graph = build_call_graph(program, index)
     if contexts is None:
         contexts = propagate_contexts(program, graph, seeds=initial_words,
                                       entry_context=entry_context)
     if summaries is None:
-        summaries = collective_summaries(program, graph, index)
+        summaries = collective_summaries(program, graph, index, cfgs=cfgs)
     extra_points: Dict[str, Tuple[ExtraPoint, ...]] = {}
     extra_tokens: Dict[str, Tuple[Tuple[int, str], ...]] = {}
     for name in graph.order:
@@ -607,7 +610,9 @@ def analyze_program(
     cfgs:
         Pre-built CFGs (``{name: (cfg, ast_block)}``) from the compiler's
         middle end; PARCOACH reuses them instead of rebuilding (the paper's
-        pass works directly on GCC's CFG).
+        pass works directly on GCC's CFG).  Either way each function's CFG
+        is built at most once: the summaries' post-dominance check and
+        every context word's analysis share it.
     interprocedural:
         Propagate calling-context words over the call graph and analyze each
         function once per distinct context (default).  ``False`` restores
@@ -621,14 +626,18 @@ def analyze_program(
     index = index_program(program)
     collective_funcs = collective_call_graph(program, index)
     func_names = {f.name for f in program.funcs}
+    shared_cfgs: Dict[str, tuple] = dict(cfgs) if cfgs is not None else {}
     plan: Optional[InterproceduralPlan] = None
     if interprocedural:
-        plan = build_plan(program, index, initial_words, entry_context)
+        plan = build_plan(program, index, initial_words, entry_context,
+                          cfgs=shared_cfgs)
 
     artifacts: Dict[str, FunctionArtifacts] = {}
     context_info: Dict[str, Tuple[Tuple[Word, ...], Tuple[WordInfo, ...]]] = {}
     for func in program.funcs:
-        prebuilt = cfgs.get(func.name) if cfgs is not None else None
+        prebuilt = shared_cfgs.get(func.name)
+        if prebuilt is None:
+            prebuilt = build_cfg(func, func_names)
         call_stmts = index.call_stmts.get(func.name)
         if plan is not None:
             words = plan.contexts.contexts[func.name]

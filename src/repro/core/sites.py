@@ -66,31 +66,40 @@ def index_function(func: A.FuncDef) -> Tuple[List[A.Call], List[A.ExprStmt],
     calls: List[A.Call] = []
     stmts: List[A.ExprStmt] = []
     expr_calls: List[ExprCallSite] = []
-    # Pre-order walk mirroring Node.walk(), tracking the enclosing
-    # statement chain (innermost first) and the statement positions.
-    stack: List[Tuple[A.Node, Tuple[A.Stmt, ...]]] = [(func, ())]
+    # Pre-order walk mirroring Node.walk() that counts positions and keeps
+    # the chain of enclosing statements (innermost last): entering a
+    # statement pushes it and leaves a ``None`` marker under its children
+    # that pops it again once they are done.
+    enclosing: List[A.Stmt] = []
+    stack: List[Optional[A.Node]] = [func]
     pos = 0
     stmt_pos: Dict[int, int] = {}
     while stack:
-        node, enclosing = stack.pop()
+        node = stack.pop()
+        if node is None:
+            enclosing.pop()
+            continue
         if isinstance(node, A.Stmt):
             stmt_pos[node.uid] = pos
-            enclosing = (node,) + enclosing
-        pos += 1
-        if isinstance(node, A.Call):
+            enclosing.append(node)
+            stack.append(None)
+        elif isinstance(node, A.Call):
             calls.append(node)
-            stmt = enclosing[0] if enclosing else None
-            if isinstance(stmt, A.ExprStmt) and stmt.expr is node:
-                stmts.append(stmt)
-            elif stmt is not None:
-                expr_calls.append(ExprCallSite(
-                    call=node,
-                    stmt_uids=tuple(s.uid for s in enclosing),
-                    stmt_pos=stmt_pos[stmt.uid],
-                    line=node.line or stmt.line,
-                ))
-        stack.extend((child, enclosing)
-                     for child in reversed(node.children()))
+            if enclosing:
+                stmt = enclosing[-1]
+                if isinstance(stmt, A.ExprStmt) and stmt.expr is node:
+                    stmts.append(stmt)
+                else:
+                    expr_calls.append(ExprCallSite(
+                        call=node,
+                        stmt_uids=tuple(s.uid for s in reversed(enclosing)),
+                        stmt_pos=stmt_pos[stmt.uid],
+                        line=node.line or stmt.line,
+                    ))
+        pos += 1
+        children = node.children()
+        if children:
+            stack.extend(reversed(children))
     return calls, stmts, expr_calls
 
 

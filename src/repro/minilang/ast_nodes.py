@@ -9,23 +9,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 _node_counter = itertools.count(1)
-
-#: Per-class cache of the data (non-position) field names, because
-#: ``dataclasses.fields()`` is too slow to call once per node in tree walks.
-_CHILD_FIELDS: dict = {}
-
-
-def _child_fields(cls: type) -> tuple:
-    names = _CHILD_FIELDS.get(cls)
-    if names is None:
-        names = tuple(
-            f.name for f in fields(cls) if f.name not in ("line", "col", "uid")
-        )
-        _CHILD_FIELDS[cls] = names
-    return names
 
 
 @dataclass
@@ -40,16 +26,13 @@ class Node:
     col: int = field(default=0, kw_only=True, repr=False)
     uid: int = field(default_factory=lambda: next(_node_counter), kw_only=True, repr=False)
 
-    def children(self) -> List["Node"]:
-        """Direct child nodes, in source order."""
-        out: List[Node] = []
-        for name in _child_fields(type(self)):
-            val = getattr(self, name)
-            if isinstance(val, Node):
-                out.append(val)
-            elif isinstance(val, (list, tuple)):
-                out.extend(v for v in val if isinstance(v, Node))
-        return out
+    def children(self) -> Tuple["Node", ...]:
+        """Direct child nodes, in field declaration order (``None`` fields
+        skipped).  Each class with child fields overrides this with an
+        explicit accessor; tree walks call it once per node, and reading
+        the fields directly is several times cheaper than reflecting over
+        ``dataclasses.fields()``.  Leaves inherit this empty tuple."""
+        return ()
 
     def walk(self):
         """Yield this node and all descendants, pre-order (iterative — the
@@ -59,6 +42,11 @@ class Node:
             node = stack.pop()
             yield node
             stack.extend(reversed(node.children()))
+
+
+def _present(*nodes: Optional[Node]) -> Tuple[Node, ...]:
+    """``nodes`` without the absent (``None``) optional fields."""
+    return tuple(n for n in nodes if n is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +89,9 @@ class ArrayRef(Expr):
     name: str = ""
     index: Expr = field(default_factory=lambda: IntLit(value=0))
 
+    def children(self) -> Tuple[Node, ...]:
+        return (self.index,)
+
 
 @dataclass
 class BinOp(Expr):
@@ -108,11 +99,17 @@ class BinOp(Expr):
     left: Expr = field(default_factory=lambda: IntLit(value=0))
     right: Expr = field(default_factory=lambda: IntLit(value=0))
 
+    def children(self) -> Tuple[Node, ...]:
+        return (self.left, self.right)
+
 
 @dataclass
 class UnaryOp(Expr):
     op: str = "-"
     operand: Expr = field(default_factory=lambda: IntLit(value=0))
+
+    def children(self) -> Tuple[Node, ...]:
+        return (self.operand,)
 
 
 @dataclass
@@ -121,6 +118,9 @@ class Call(Expr):
 
     name: str = ""
     args: List[Expr] = field(default_factory=list)
+
+    def children(self) -> Tuple[Node, ...]:
+        return tuple(self.args)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +137,9 @@ class Stmt(Node):
 class Block(Stmt):
     stmts: List[Stmt] = field(default_factory=list)
 
+    def children(self) -> Tuple[Node, ...]:
+        return tuple(self.stmts)
+
 
 @dataclass
 class VarDecl(Stmt):
@@ -144,6 +147,9 @@ class VarDecl(Stmt):
     name: str = ""
     init: Optional[Expr] = None
     array_size: Optional[Expr] = None  # non-None => array declaration
+
+    def children(self) -> Tuple[Node, ...]:
+        return _present(self.init, self.array_size)
 
 
 @dataclass
@@ -154,10 +160,16 @@ class Assign(Stmt):
     op: str = "="
     value: Expr = field(default_factory=lambda: IntLit(value=0))
 
+    def children(self) -> Tuple[Node, ...]:
+        return (self.target, self.value)
+
 
 @dataclass
 class ExprStmt(Stmt):
     expr: Expr = field(default_factory=Call)
+
+    def children(self) -> Tuple[Node, ...]:
+        return (self.expr,)
 
 
 @dataclass
@@ -166,11 +178,19 @@ class If(Stmt):
     then_body: Block = field(default_factory=Block)
     else_body: Optional[Block] = None
 
+    def children(self) -> Tuple[Node, ...]:
+        if self.else_body is None:
+            return (self.cond, self.then_body)
+        return (self.cond, self.then_body, self.else_body)
+
 
 @dataclass
 class While(Stmt):
     cond: Expr = field(default_factory=lambda: BoolLit(value=True))
     body: Block = field(default_factory=Block)
+
+    def children(self) -> Tuple[Node, ...]:
+        return (self.cond, self.body)
 
 
 @dataclass
@@ -185,10 +205,16 @@ class For(Stmt):
     step: Optional[Stmt] = None
     body: Block = field(default_factory=Block)
 
+    def children(self) -> Tuple[Node, ...]:
+        return _present(self.init, self.cond, self.step, self.body)
+
 
 @dataclass
 class Return(Stmt):
     value: Optional[Expr] = None
+
+    def children(self) -> Tuple[Node, ...]:
+        return () if self.value is None else (self.value,)
 
 
 @dataclass
@@ -215,6 +241,11 @@ class OmpStmt(Stmt):
 class OmpParallel(OmpStmt):
     body: Block = field(default_factory=Block)
     num_threads: Optional[Expr] = None
+
+    def children(self) -> Tuple[Node, ...]:
+        if self.num_threads is None:
+            return (self.body,)
+        return (self.body, self.num_threads)
     private: List[str] = field(default_factory=list)
     shared: List[str] = field(default_factory=list)
 
@@ -224,16 +255,25 @@ class OmpSingle(OmpStmt):
     body: Block = field(default_factory=Block)
     nowait: bool = False
 
+    def children(self) -> Tuple[Node, ...]:
+        return (self.body,)
+
 
 @dataclass
 class OmpMaster(OmpStmt):
     body: Block = field(default_factory=Block)
+
+    def children(self) -> Tuple[Node, ...]:
+        return (self.body,)
 
 
 @dataclass
 class OmpCritical(OmpStmt):
     body: Block = field(default_factory=Block)
     name: str = ""
+
+    def children(self) -> Tuple[Node, ...]:
+        return (self.body,)
 
 
 @dataclass
@@ -247,11 +287,17 @@ class OmpFor(OmpStmt):
     nowait: bool = False
     schedule: str = "static"
 
+    def children(self) -> Tuple[Node, ...]:
+        return (self.loop,)
+
 
 @dataclass
 class OmpSections(OmpStmt):
     sections: List[Block] = field(default_factory=list)
     nowait: bool = False
+
+    def children(self) -> Tuple[Node, ...]:
+        return tuple(self.sections)
 
 
 @dataclass
@@ -260,6 +306,9 @@ class OmpTask(OmpStmt):
     when it contains MPI collectives (outside the paper's fork/join model)."""
 
     body: Block = field(default_factory=Block)
+
+    def children(self) -> Tuple[Node, ...]:
+        return (self.body,)
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +329,17 @@ class FuncDef(Node):
     params: List[Param] = field(default_factory=list)
     body: Block = field(default_factory=Block)
 
+    def children(self) -> Tuple[Node, ...]:
+        return (*self.params, self.body)
+
 
 @dataclass
 class Program(Node):
     funcs: List[FuncDef] = field(default_factory=list)
     filename: str = "<string>"
+
+    def children(self) -> Tuple[Node, ...]:
+        return tuple(self.funcs)
 
     def func(self, name: str) -> FuncDef:
         """Return the function definition named ``name`` (KeyError if absent)."""

@@ -1,196 +1,153 @@
-"""Hand-written lexer for the minilang hybrid language.
+"""Regular-expression lexer for the minilang hybrid language.
+
+One compiled master pattern with a named group per token class is matched
+repeatedly over the source (``finditer``); each match consumes the blanks
+before one token plus the token itself, so the Python-level loop runs once
+per token rather than once per character.  Every character is covered by
+some alternative (the last one, ``error``, takes any single character), so
+nothing is ever skipped silently.
 
 Newlines are normally whitespace, except inside a ``#pragma`` directive where
 the newline terminates the directive (C semantics), so the lexer emits a
-``NEWLINE`` token while in pragma mode.
+``NEWLINE`` token while in pragma mode.  Number literals are ASCII digits
+only; any other digit-like character is an "unexpected character" error.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List
+import re
+from typing import List
 
-from .tokens import (
-    KEYWORDS,
-    MULTI_CHAR_OPS,
-    SINGLE_CHAR_OPS,
-    LexError,
-    Token,
-    TokenType,
+from .tokens import KEYWORDS, MULTI_CHAR_OPS, SINGLE_CHAR_OPS, LexError, Token, TokenType
+
+_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "'": "'", "0": "\0"}
+
+#: quote -> the body of a string literal it opens: everything up to the
+#: first closing quote, newline or backslash not starting an escape.
+_STRING_BODY = {q: r"(?:[^%s\\\n]|\\[nt\\\"'0])*" % q for q in "\"'"}
+
+#: Every operator and punctuation token of ``MULTI_CHAR_OPS`` and
+#: ``SINGLE_CHAR_OPS`` except ``#``, grouped by first character so the
+#: longest operator wins; ``/`` never starts a comment here.
+_OPERATOR = r"[(){}\[\],;%]|[=!<>]=?|&&|\|\||\+[+=]?|-[-=]?|\*=?|/(?![/*])=?"
+
+_MASTER = re.compile(
+    r"[ \t\r]*(?:"
+    r"(?P<op>" + _OPERATOR + ")"
+    r"|(?P<ident>[A-Za-z_]\w*)"
+    r"|(?P<newline>\n)"
+    r"|(?P<comment>//[^\n]*)"
+    r"|(?P<block>/\*.*?\*/)"
+    r"|(?P<open_block>/\*)"
+    r"|(?P<hash>\#)"
+    r"|(?P<float>[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))"
+    r"|(?P<int>[0-9]+)"
+    r'|(?P<string>"' + _STRING_BODY['"'] + r'"|' + "'" + _STRING_BODY["'"] + "')"
+    r"|(?P<bad_string>[\"'])"
+    r"|(?P<continuation>\\\n)"
+    r"|(?P<unicode_ident>[^\W\d]\w*)"
+    r"|(?P<end>\Z)"
+    r"|(?P<error>.)"
+    r")",
+    re.DOTALL,
 )
 
+_STRING_BODY_RE = {q: re.compile(body) for q, body in _STRING_BODY.items()}
+_ESCAPE_RE = re.compile(r"\\(.)")
 
-class Lexer:
-    """Converts source text into a token stream.
+_OP_TYPES = dict(MULTI_CHAR_OPS)
+_OP_TYPES.update(SINGLE_CHAR_OPS)
 
-    Parameters
-    ----------
-    source:
-        The program text.
-    filename:
-        Used only in error messages.
-    """
+_IDENT = TokenType.IDENT
+_INT = TokenType.INT
+_FLOAT = TokenType.FLOAT
+_STRING = TokenType.STRING
+_HASH = TokenType.HASH
+_NEWLINE = TokenType.NEWLINE
 
-    def __init__(self, source: str, filename: str = "<string>") -> None:
-        self.source = source
-        self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self._in_pragma = False
 
-    # -- low-level helpers -------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        return self.source[idx] if idx < len(self.source) else ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.source):
-                if self.source[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
-
-    # -- token producers ----------------------------------------------------
-
-    def _skip_whitespace_and_comments(self) -> List[Token]:
-        """Advance over blanks and comments; may emit a NEWLINE in pragma mode."""
-        emitted: List[Token] = []
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch == "\n":
-                if self._in_pragma:
-                    emitted.append(Token(TokenType.NEWLINE, "\n", self.line, self.col))
-                    self._in_pragma = False
-                self._advance()
-            elif ch in " \t\r":
-                self._advance()
-            elif ch == "\\" and self._peek(1) == "\n":
-                # Line continuation (used in long pragmas).
-                self._advance(2)
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line, start_col = self.line, self.col
-                self._advance(2)
-                while self.pos < len(self.source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise LexError("unterminated block comment", start_line, start_col)
-            else:
-                break
-        return emitted
-
-    def _lex_number(self) -> Token:
-        start_line, start_col = self.line, self.col
-        start = self.pos
-        seen_dot = False
-        while self.pos < len(self.source) and (
-            self._peek().isdigit() or (self._peek() == "." and not seen_dot)
-        ):
-            if self._peek() == ".":
-                # A dot must be followed by a digit to count as a float part.
-                if not self._peek(1).isdigit():
-                    break
-                seen_dot = True
-            self._advance()
-        # Exponent part: 1e5, 2.5e-3
-        if self._peek() in "eE" and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            seen_dot = True
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        text = self.source[start : self.pos]
-        ttype = TokenType.FLOAT if seen_dot else TokenType.INT
-        return Token(ttype, text, start_line, start_col)
-
-    def _lex_ident(self) -> Token:
-        start_line, start_col = self.line, self.col
-        start = self.pos
-        while self.pos < len(self.source) and (
-            self._peek().isalnum() or self._peek() == "_"
-        ):
-            self._advance()
-        text = self.source[start : self.pos]
-        ttype = KEYWORDS.get(text, TokenType.IDENT)
-        return Token(ttype, text, start_line, start_col)
-
-    def _lex_string(self) -> Token:
-        start_line, start_col = self.line, self.col
-        quote = self._peek()
-        self._advance()
-        chars: List[str] = []
-        while True:
-            ch = self._peek()
-            if ch == "":
-                raise LexError("unterminated string literal", start_line, start_col)
-            if ch == "\n":
-                raise LexError("newline in string literal", self.line, self.col)
-            if ch == "\\":
-                nxt = self._peek(1)
-                escapes = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "'": "'", "0": "\0"}
-                if nxt in escapes:
-                    chars.append(escapes[nxt])
-                    self._advance(2)
-                    continue
-                raise LexError(f"unknown escape \\{nxt}", self.line, self.col)
-            if ch == quote:
-                self._advance()
-                break
-            chars.append(ch)
-            self._advance()
-        return Token(TokenType.STRING, "".join(chars), start_line, start_col)
-
-    def tokens(self) -> Iterator[Token]:
-        """Yield tokens until (and including) EOF."""
-        while True:
-            for tok in self._skip_whitespace_and_comments():
-                yield tok
-            if self.pos >= len(self.source):
-                if self._in_pragma:
-                    # Pragma at end of file without trailing newline.
-                    yield Token(TokenType.NEWLINE, "", self.line, self.col)
-                    self._in_pragma = False
-                yield Token(TokenType.EOF, "", self.line, self.col)
-                return
-            ch = self._peek()
-            if ch.isdigit():
-                yield self._lex_number()
-            elif ch.isalpha() or ch == "_":
-                yield self._lex_ident()
-            elif ch in "\"'":
-                yield self._lex_string()
-            elif ch == "#":
-                self._in_pragma = True
-                yield Token(TokenType.HASH, "#", self.line, self.col)
-                self._advance()
-            else:
-                for text, ttype in MULTI_CHAR_OPS:
-                    if self.source.startswith(text, self.pos):
-                        tok = Token(ttype, text, self.line, self.col)
-                        self._advance(len(text))
-                        yield tok
-                        break
-                else:
-                    if ch in SINGLE_CHAR_OPS:
-                        yield Token(SINGLE_CHAR_OPS[ch], ch, self.line, self.col)
-                        self._advance()
-                    else:
-                        raise LexError(f"unexpected character {ch!r}", self.line, self.col)
+def _string_error(source: str, start: int, line: int, line_start: int) -> LexError:
+    """The error for the malformed string literal opening at ``start``."""
+    stop = _STRING_BODY_RE[source[start]].match(source, start + 1).end()
+    if stop == len(source):
+        return LexError("unterminated string literal", line, start - line_start + 1)
+    col = stop - line_start + 1
+    if source[stop] == "\n":
+        return LexError("newline in string literal", line, col)
+    # A backslash whose escape is not one of _ESCAPES.
+    return LexError(f"unknown escape \\{source[stop + 1:stop + 2]}", line, col)
 
 
 def tokenize(source: str, filename: str = "<string>") -> List[Token]:
-    """Tokenize ``source`` fully, returning the token list (ending with EOF)."""
-    return list(Lexer(source, filename).tokens())
+    """Tokenize ``source`` fully, returning the token list (ending with EOF).
+
+    ``filename`` is accepted for symmetry with the parser; errors carry
+    only a line and column."""
+    tokens: List[Token] = []
+    append = tokens.append
+    new = tuple.__new__
+    keyword = KEYWORDS.get
+    op_type = _OP_TYPES.__getitem__
+    line = 1
+    line_start = 0  # offset of the first character of ``line``
+    in_pragma = False
+    for m in _MASTER.finditer(source):
+        kind = m.lastgroup
+        end = m.end()
+        if kind == "ident":
+            text = m.group(kind)
+            append(new(Token, (keyword(text, _IDENT), text, line,
+                               end - len(text) - line_start + 1)))
+        elif kind == "op":
+            text = m.group(kind)
+            append(new(Token, (op_type(text), text, line,
+                               end - len(text) - line_start + 1)))
+        elif kind == "newline":
+            if in_pragma:
+                append(new(Token, (_NEWLINE, "\n", line, end - line_start)))
+                in_pragma = False
+            line += 1
+            line_start = end
+        elif kind == "int" or kind == "float":
+            text = m.group(kind)
+            append(new(Token, (_INT if kind == "int" else _FLOAT, text, line,
+                               end - len(text) - line_start + 1)))
+        elif kind == "comment":
+            pass
+        elif kind == "block" or kind == "continuation":
+            newlines = m.group(kind).count("\n")
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", 0, end) + 1
+        elif kind == "string":
+            text = m.group(kind)
+            value = text[1:-1]
+            if "\\" in value:
+                value = _ESCAPE_RE.sub(lambda e: _ESCAPES[e.group(1)], value)
+            append(new(Token, (_STRING, value, line,
+                               end - len(text) - line_start + 1)))
+        elif kind == "end":
+            col = end - line_start + 1
+            if in_pragma:
+                # Pragma at end of file without trailing newline.
+                append(new(Token, (_NEWLINE, "", line, col)))
+            append(new(Token, (TokenType.EOF, "", line, col)))
+            break
+        else:
+            start = m.start(kind)
+            col = start - line_start + 1
+            if kind == "open_block":
+                raise LexError("unterminated block comment", line, col)
+            if kind == "bad_string":
+                raise _string_error(source, start, line, line_start)
+            ch = source[start]
+            if kind == "unicode_ident" and ch.isalpha():
+                text = m.group(kind)
+                append(new(Token, (_IDENT, text, line, col)))
+                continue
+            if kind == "hash":
+                in_pragma = True
+                append(new(Token, (_HASH, "#", line, col)))
+                continue
+            raise LexError(f"unexpected character {ch!r}", line, col)
+    return tokens

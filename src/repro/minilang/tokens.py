@@ -8,7 +8,7 @@ analyses: structured control flow, function calls, OpenMP structured blocks.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TokenType(enum.Enum):
@@ -72,6 +72,11 @@ class TokenType(enum.Enum):
     NEWLINE = "NEWLINE"  # only significant inside pragma directives
     EOF = "EOF"
 
+    #: Members are singletons compared by identity, so the identity hash is
+    #: valid, and unlike ``Enum.__hash__`` it runs in C: the parser keys
+    #: its dispatch tables on token types.
+    __hash__ = object.__hash__
+
 
 #: Reserved words mapped to their token types.
 KEYWORDS = {
@@ -92,7 +97,7 @@ KEYWORDS = {
     "pragma": TokenType.KW_PRAGMA,
 }
 
-#: Multi-character operators, longest first so the lexer can greedily match.
+#: Multi-character operators and their token types.
 MULTI_CHAR_OPS = [
     ("==", TokenType.EQ),
     ("!=", TokenType.NE),
@@ -130,9 +135,12 @@ SINGLE_CHAR_OPS = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
-    """A lexical token with its source position (1-based line/column)."""
+class Token(NamedTuple):
+    """A lexical token with its source position (1-based line/column).
+
+    A plain 4-tuple ``(type, value, line, col)``: the lexer builds one per
+    token without going through a constructor, and the parser reads the
+    fields by index on its hot paths; the names serve everyone else."""
 
     type: TokenType
     value: str

@@ -187,6 +187,12 @@ class _ReportCache:
     instrumented_sorted: List[str]
 
 
+def _caller_names(graph, name: str) -> Tuple[str, ...]:
+    """The distinct callers of ``name`` in ``graph``, sorted: the order in
+    which the dependent closure visits them."""
+    return tuple(sorted({e.caller for e in graph.callers.get(name, ())}))
+
+
 def _summary_entry(art, words, summary: FunctionSummary) -> dict:
     """One ``summary.functions`` entry, field-for-field what
     :func:`~repro.core.report.analysis_summary` produces (``instrumented``
@@ -284,6 +290,7 @@ class ProjectSession:
         self._program: Optional[A.Program] = None
         self._fingerprints: Dict[str, str] = {}
         self._func_file: Dict[str, str] = {}
+        #: name -> :func:`_caller_names` in the current call graph.
         self._callers: Dict[str, Tuple[str, ...]] = {}
         self._summaries: Optional[Dict[str, FunctionSummary]] = None
         self._signatures: Optional[Dict[str, tuple]] = None
@@ -707,8 +714,7 @@ class ProjectSession:
         index = facts.index
         graph = build_call_graph(program, index)
         callers: Dict[str, Tuple[str, ...]] = {
-            name: tuple(e.caller for e in graph.callers[name])
-            for name in graph.order
+            name: _caller_names(graph, name) for name in graph.order
         }
         merged_callers: Dict[str, Set[str]] = {}
         for source_map in (self._callers, callers):
@@ -973,14 +979,16 @@ class ProjectSession:
         seen = set(dirty)
         old_callers = self._graph.callers
         new_callers = graph.callers
+        old_names = self._callers
         while work:
             name = work.pop()
             a = old_callers.get(name, ())
             b = new_callers.get(name, ())
-            callers = {e.caller for e in a}
-            if b is not a:
-                callers.update(e.caller for e in b)
-            for caller in sorted(callers):
+            callers = old_names.get(name) if b is a else None
+            if callers is None:
+                callers = sorted({e.caller for e in a}
+                                 | {e.caller for e in b})
+            for caller in callers:
                 if caller not in seen:
                     seen.add(caller)
                     dependents.append(caller)
@@ -1174,9 +1182,8 @@ class ProjectSession:
         self._program = program
         self._fingerprints.update(fp_new)
         if patch.rebuilt:
-            self._callers = {
-                name: tuple(e.caller for e in graph.callers[name])
-                for name in graph.order}
+            self._callers = {name: _caller_names(graph, name)
+                             for name in graph.order}
         else:
             affected: Set[str] = set()
             for name in reparsed:
@@ -1184,8 +1191,7 @@ class ProjectSession:
                 affected.update(e.callee
                                 for e in self._graph.edges[name])
             for callee in affected:
-                self._callers[callee] = tuple(
-                    e.caller for e in graph.callers.get(callee, ()))
+                self._callers[callee] = _caller_names(graph, callee)
         self._graph = graph
         self._contexts = contexts
         self._summaries = summaries

@@ -552,3 +552,51 @@ void main() {
     assert '"main" -> "bump" [style=dashed];' in dot  # expression call
     assert "fillcolor=gold" in dot  # always-collective node
     assert "ctx: P-1" in dot
+
+
+# -- one CFG per function ---------------------------------------------------------
+
+_TWO_CONTEXTS = """
+void helper(int r) {
+    if (r == 0) {
+        MPI_Barrier();
+    }
+}
+void main() {
+    int r = MPI_Comm_rank();
+    helper(r);
+    #pragma omp parallel
+    {
+        helper(r);
+    }
+}
+"""
+
+
+def test_analyze_program_builds_each_cfg_once(monkeypatch):
+    """The summaries' post-dominance check and every context word's
+    function analysis share one CFG per function."""
+    import repro.cfg.build as cfg_build
+    import repro.core.callgraph as callgraph
+    import repro.core.driver as driver
+    from repro.core import analyze_program
+
+    built = []
+
+    def counting(func, user_funcs=None):
+        built.append(func.name)
+        return cfg_build.build_cfg(func, user_funcs)
+
+    monkeypatch.setattr(callgraph, "build_cfg", counting)
+    monkeypatch.setattr(driver, "build_cfg", counting)
+    program = parse_program(_TWO_CONTEXTS, "t")
+    analysis = analyze_program(program)
+    assert len(analysis.function("helper").context_words) == 2
+    assert analysis.summaries["helper"].classify("MPI_Barrier") == CONDITIONAL
+    assert sorted(built) == ["helper", "main"]
+    # Middle-end CFGs passed in are reused by both users: no build at all.
+    cfgs = cfg_build.build_program_cfgs(program)
+    built.clear()
+    with_cfgs = analyze_program(program, cfgs=cfgs)
+    assert built == []
+    assert with_cfgs.function("helper").cfg is cfgs["helper"][0]

@@ -1,7 +1,9 @@
 """The CLI's exit-code contract on bad input files.
 
 Every subcommand that reads a source file answers a missing file, bytes
-that are not UTF-8, a parse error and a semantic error the same way:
+that are not UTF-8, a parse error, a semantic error and a number literal
+the front end cannot convert (a non-ASCII digit, an integer past Python's
+4300-digit conversion limit) the same way:
 ``FILE[:LINE:COL]: error: MSG`` on stderr, exit 2 (the usage/internal
 error code, never 1, the "findings" code), and no traceback.  With
 ``--json``, stdout carries one ``error`` Report IR document.
@@ -31,6 +33,10 @@ BAD_INPUTS = {
     "parse-error": (b"void main() {\n", ":2:1: error: unterminated block"),
     "semantic-error": (b"void main() { missing(); }\n",
                        ":1:15: error: [UNKNOWN_FUNC]"),
+    "superscript-digit": ("void main() { int x = \u00b2; }\n".encode(),
+                          ":1:23: error: unexpected character '\u00b2'"),
+    "huge-int-literal": (b"void main() { int x = " + b"9" * 4301 + b"; }\n",
+                         ":1:23: error: number literal out of range"),
 }
 
 #: subcommand -> argv after the file.
