@@ -190,6 +190,13 @@ def _load(path: str, want_source: bool = False):
     return (program, source) if want_source else program
 
 
+def _require_entry(path: str, program, entry: str = "main") -> None:
+    """A program without its entry function cannot be run: usage error."""
+    if not any(func.name == entry for func in program.funcs):
+        raise InputError(path, [f"{path}: error: no entry function "
+                                f"{entry!r}"])
+
+
 def _initial_context(args, program):
     """Map --initial-context onto the two analysis modes: the entry-seed
     word interprocedurally, a per-function word intraprocedurally."""
@@ -302,6 +309,7 @@ def _cmd_instrument(args) -> int:
 
 def _cmd_run(args) -> int:
     program = _load(args.file)
+    _require_entry(args.file, program)
     group_kinds = None
     if args.instrument:
         analysis = analyze_program(program)
@@ -337,9 +345,17 @@ def _parse_ints(spec: str) -> List[int]:
 def _cmd_explore(args) -> int:
     from .explore import (ExploreConfig, ScheduleTrace, explore_config,
                           replay, verdict_line)
+    from .explore.trace import TraceError
 
     program, source = _load(args.file, want_source=True)
-    trace = ScheduleTrace.load(args.replay) if args.replay else None
+    trace = None
+    if args.replay:
+        try:
+            trace = ScheduleTrace.load(args.replay)
+        except TraceError as exc:
+            raise InputError(args.replay, [f"{args.replay}: error: {exc}"])
+    _require_entry(args.file, program,
+                   str(trace.config.get("entry", "main")) if trace else "main")
     # A trace records whether it was taken on the instrumented program;
     # replay honors that so the schedule actually lines up.
     instrument = args.instrument or (trace is not None

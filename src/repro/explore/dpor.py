@@ -13,15 +13,22 @@ prunings driven by the scheduler's recorded event footprints
   the *later* step's thread (or, when that thread is not schedulable there,
   conservatively for every alternative).  Only backtrack entries are
   explored — an alternative no race asks for commutes into a schedule the
-  sweep already has;
+  sweep already has.  Only decision steps can take entries, so each step
+  is compared with the earlier decision steps indexed under the objects
+  it accesses (plus the wildcard ones), a (decision, thread) pair is
+  settled once, and ``conflicts`` is memoised per footprint pair for the
+  sweep;
 * **sleep sets**: after exploring choice ``c`` at a node, ``c`` is put to
   sleep in every sibling subtree and stays asleep until some executed step
   conflicts with its next step — schedules that begin with a sleeping
   thread are permutations of already-explored ones;
-* **state fingerprinting** (optional): when the scheduler hashes the
-  quiescent state at every decision, a node whose fingerprint was already
-  visited with a sleep set no larger than the current one is not expanded
-  at all — its subtree was explored from the earlier visit.
+* **state fingerprinting** (optional): when the scheduler fingerprints
+  the quiescent state at every decision, a node whose fingerprint was
+  already visited with a sleep set no larger than the current one is not
+  expanded at all — its subtree was explored from the earlier visit.  A
+  pushed node carries its parent's fingerprints over its forced prefix;
+  the child run replays those choices, so its scheduler reuses them and
+  hashes only the decisions past the prefix.
 
 The driver enumerates prefixes in FIFO (breadth-first) wave order and all
 pruning state lives in the driver, so executing a wave's runs on worker
@@ -91,17 +98,22 @@ class DporStats:
 class _Node:
     prefix: Tuple[str, ...]
     sleep: FrozenSet[str] = frozenset()
+    #: The parent run's state fingerprints at decisions ``0 ..
+    #: len(prefix) - 1`` — this run replays those choices, so its states
+    #: there are the parent's.
+    fingerprints: Tuple[Optional[str], ...] = ()
 
 
 class DporStrategy:
     """Driver for the reduced enumeration; see the module docstring.
 
     ``explore(execute_wave, max_runs, wave_size)`` pulls up to ``wave_size``
-    pending prefixes per iteration, hands them to ``execute_wave`` (which
-    runs each — serially or on a pool — and returns their
-    :class:`RunRecord` s *in order*, ``None`` for a run that could not be
-    executed), then expands each record in FIFO order.  Yields the run
-    count after every wave.
+    pending nodes per iteration, hands them to ``execute_wave`` as
+    ``(prefix, inherited fingerprints)`` pairs (it runs each — serially or
+    on a pool — forcing the prefix and reusing the fingerprints, and
+    returns their :class:`RunRecord` s *in order*, ``None`` for a run that
+    could not be executed), then expands each record in FIFO order.
+    Yields the run count after every wave.
     """
 
     name = "dpor"
@@ -115,12 +127,17 @@ class DporStrategy:
         self._visited: Dict[str, FrozenSet[str]] = {}
         #: every prefix ever scheduled — two runs may detect the same race.
         self._pushed: set = {()}
+        #: ``conflicts`` answers for the sweep, per footprint pair.
+        self._conflicts: Dict[Tuple[Footprint, Footprint], bool] = {}
+        #: footprint -> (objects it touches, touches the wildcard).
+        self._objects: Dict[Footprint, Tuple[FrozenSet[str], bool]] = {}
 
     # -- enumeration ----------------------------------------------------------
 
     def explore(
         self,
-        execute_wave: Callable[[List[List[str]]], Sequence[Optional[RunRecord]]],
+        execute_wave: Callable[[List[Tuple[List[str], Tuple]]],
+                               Sequence[Optional[RunRecord]]],
         max_runs: int,
         wave_size: int = 1,
     ):
@@ -129,7 +146,8 @@ class DporStrategy:
             take = min(len(frontier), max(1, wave_size),
                        max_runs - self.stats.runs)
             nodes = [frontier.popleft() for _ in range(take)]
-            records = execute_wave([list(n.prefix) for n in nodes])
+            records = execute_wave([(list(n.prefix), n.fingerprints)
+                                    for n in nodes])
             for node, record in zip(nodes, records):
                 self.stats.runs += 1
                 if record is not None:
@@ -169,34 +187,69 @@ class DporStrategy:
         # sweep must try to reverse: revisit the decision that scheduled the
         # earlier step with the later step's thread instead.  A reordering
         # no race asks for commutes into this very schedule — skip it.
+        # Only decision steps can take backtrack entries, so each step is
+        # compared with the earlier decision steps that share an object
+        # with it (plus those that touch the wildcard), not with every
+        # earlier step.
         dec_of_event = {eb[i]: i for i in range(min(limit, len(eb)))}
         backtrack: Dict[int, set] = {}
-        for k in range(1, len(events)):
-            tk, fpk = events[k]
+        memo = self._conflicts
+        touches = self._touches
+        # Earlier decision steps as (thread, footprint, decision) ...
+        by_object: Dict[str, list] = {}  # ... per object they access,
+        wild: list = []                  # ... touching the wildcard,
+        steps: list = []                 # ... all of them.
+        raced: set = set()  # (decision, thread) pairs already handled
+        for k, (tk, fpk) in enumerate(events):
             if not fpk:
                 continue
-            for j in range(k):
-                tj, fpj = events[j]
-                if tj == tk or not fpj or not conflicts(fpj, fpk):
-                    continue
-                i = dec_of_event.get(j)
-                if i is None:
-                    continue
-                d = decisions[i]
-                alts = [a for a in d.runnable if a != d.chosen]
-                if not alts:
-                    continue
-                # The racing thread itself when schedulable there; otherwise
-                # conservatively every alternative ("add all enabled").
-                targets = [tk] if tk in alts else alts
-                backtrack.setdefault(i, set()).update(targets)
+            objects, fpk_wild = touches(fpk)
+            if steps:
+                if fpk_wild:
+                    earlier = steps
+                elif wild or len(objects) > 1:
+                    earlier = set(wild)
+                    for obj in objects:
+                        earlier.update(by_object.get(obj, ()))
+                else:
+                    earlier = by_object.get(next(iter(objects)), ())
+                for step in earlier:
+                    tj, fpj, i = step
+                    if tj == tk or (i, tk) in raced:
+                        continue
+                    pair = (fpj, fpk)
+                    hit = memo.get(pair)  # inline _conflict: hot loop
+                    if hit is None:
+                        hit = memo[pair] = conflicts(fpj, fpk)
+                    if not hit:
+                        continue
+                    raced.add((i, tk))
+                    d = decisions[i]
+                    alts = [a for a in d.runnable if a != d.chosen]
+                    if not alts:
+                        continue
+                    # The racing thread itself when schedulable there;
+                    # otherwise conservatively every alternative ("add all
+                    # enabled").
+                    targets = [tk] if tk in alts else alts
+                    backtrack.setdefault(i, set()).update(targets)
+            i = dec_of_event.get(k)
+            if i is not None:
+                step = (tk, fpk, i)
+                steps.append(step)
+                if fpk_wild:
+                    wild.append(step)
+                else:
+                    for obj in objects:
+                        by_object.setdefault(obj, []).append(step)
 
         def push(i: int, alt: str, child_sleep) -> None:
             prefix = tuple(choices[:i]) + (alt,)
             if prefix in self._pushed:
                 return
             self._pushed.add(prefix)
-            frontier.append(_Node(prefix, frozenset(child_sleep)))
+            frontier.append(_Node(prefix, frozenset(child_sleep),
+                                  tuple(record.fingerprints[:i + 1])))
             self.stats.expanded += 1
 
         def cost_ok(i: int, alt: str) -> bool:
@@ -217,6 +270,7 @@ class DporStrategy:
                     self.stats.bound_skips += 1
 
         sleep = set(node.sleep)
+        conflict = self._conflict
 
         def advance(k: int) -> None:
             """Executed step ``events[k]`` — wake every sleeper whose next
@@ -226,7 +280,7 @@ class DporStrategy:
             sleep.discard(thread)
             for u in list(sleep):
                 info = next_event(u, k)
-                if info is None or conflicts(info[0], fp):
+                if info is None or conflict(info[0], fp):
                     sleep.discard(u)
 
         # node.sleep is the sleep set in effect right after the prefix's
@@ -280,7 +334,24 @@ class DporStrategy:
                             continue
                         uinfo = next_event(u, eb[i])
                         if uinfo is not None and \
-                                not conflicts(uinfo[0], alt_fp):
+                                not conflict(uinfo[0], alt_fp):
                             child_sleep.add(u)
                 push(i, alt, child_sleep)
                 pushed_here.append(alt)
+
+    # -- memoised footprint queries -------------------------------------------
+
+    def _conflict(self, a: Footprint, b: Footprint) -> bool:
+        key = (a, b)
+        hit = self._conflicts.get(key)
+        if hit is None:
+            hit = self._conflicts[key] = conflicts(a, b)
+        return hit
+
+    def _touches(self, fp: Footprint) -> Tuple[FrozenSet[str], bool]:
+        """The objects ``fp`` accesses, and whether one is the wildcard."""
+        hit = self._objects.get(fp)
+        if hit is None:
+            objects = frozenset(obj for obj, _ in fp)
+            hit = self._objects[fp] = (objects, "*" in objects)
+        return hit

@@ -39,7 +39,7 @@ from .strategies import (
     ScriptedStrategy,
     dfs_prefixes,
 )
-from .trace import ScheduleTrace, verdict_line
+from .trace import ScheduleTrace, step_footprints, verdict_line
 
 #: Bounded resampling when random sampling draws an already-seen schedule.
 _DEDUPE_RETRIES = 5
@@ -146,9 +146,11 @@ def _run_with_scheduler(
     strategy_info: Optional[Dict[str, object]],
     mode: str,
     fingerprints: bool,
+    inherit: Sequence[Tuple[str, str]] = (),
+    steps: bool = True,
 ) -> Tuple[RunResult, ScheduleTrace, Scheduler]:
     scheduler = Scheduler(strategy or DefaultStrategy(),
-                          fingerprints=fingerprints)
+                          fingerprints=fingerprints, inherit=inherit)
     result = run_program(
         program,
         nprocs=config.nprocs,
@@ -159,7 +161,8 @@ def _run_with_scheduler(
         scheduler=scheduler,
     )
     trace = ScheduleTrace.record(scheduler, config.as_dict(), result,
-                                 strategy_info=strategy_info, mode=mode)
+                                 strategy_info=strategy_info, mode=mode,
+                                 steps=steps)
     return result, trace, scheduler
 
 
@@ -230,12 +233,19 @@ def _minimize_failure(program, config, group_kinds, outcome: ScheduleOutcome,
 
 
 def _dpor_worker(payload) -> Tuple[ScheduleTrace, RunRecord]:
-    """Pool entry: execute one forced-prefix run, ship trace + record back."""
-    program, config, group_kinds, prefix, preemptions, fingerprints = payload
+    """Pool entry: execute one forced-prefix run, ship trace + record back.
+
+    ``inherited`` are the parent run's fingerprints at the prefix's
+    decisions; the run reuses them instead of hashing those states again.
+    The trace carries no step footprints: the driver adds them, from the
+    record, to the traces it keeps."""
+    (program, config, group_kinds, prefix, inherited, preemptions,
+     fingerprints) = payload
     _, trace, scheduler = _run_with_scheduler(
         program, config, ScriptedStrategy(prefix), group_kinds,
         {"name": "dpor", "prefix": len(prefix), "preemptions": preemptions},
-        "full", fingerprints)
+        "full", fingerprints, inherit=tuple(zip(prefix, inherited)),
+        steps=False)
     return trace, RunRecord.from_scheduler(scheduler)
 
 
@@ -262,13 +272,20 @@ def explore_config(
     def out_of_time() -> bool:
         return deadline is not None and time.monotonic() >= deadline
 
-    def note(trace: ScheduleTrace) -> None:
+    def note(trace: ScheduleTrace,
+             record: Optional[RunRecord] = None) -> None:
+        """Count one schedule; keep it when it is one of the first
+        failures (a DPOR trace then gets its step footprints from
+        ``record``)."""
         report.schedules += 1
         if collect_schedules:
             report.schedule_choices.append(tuple(trace.choice_names))
         key = trace.verdict_class or "clean"
         report.verdict_counts[key] += 1
         if trace.verdict != "clean" and len(report.failures) < max_failures:
+            if record is not None:
+                trace.step_footprints = step_footprints(
+                    record.events, record.event_index, len(trace.choices))
             report.failures.append(ScheduleOutcome(
                 index=report.schedules,
                 verdict=trace.verdict,
@@ -339,9 +356,10 @@ def _explore_dpor(program, config, group_kinds, runs, preemptions, jobs,
     driver = DporStrategy(preemption_bound=preemptions,
                           use_fingerprints=fingerprints)
 
-    def run_serial(prefix: List[str]) -> Tuple[ScheduleTrace, RunRecord]:
-        return _dpor_worker((program, config, group_kinds, prefix,
-                             preemptions, fingerprints))
+    def payload(run):
+        prefix, inherited = run
+        return (program, config, group_kinds, prefix, inherited, preemptions,
+                fingerprints)
 
     pool: Optional[ProcessPoolExecutor] = None
     pool_broken = False
@@ -351,21 +369,19 @@ def _explore_dpor(program, config, group_kinds, runs, preemptions, jobs,
         except OSError:
             pool = None
 
-    def execute_wave(prefixes: List[List[str]]):
+    def execute_wave(runs):
         nonlocal pool, pool_broken
         pairs: Optional[List[Tuple[ScheduleTrace, RunRecord]]] = None
-        if pool is not None and not pool_broken and len(prefixes) > 1:
-            payloads = [(program, config, group_kinds, p, preemptions,
-                         fingerprints) for p in prefixes]
+        if pool is not None and not pool_broken and len(runs) > 1:
             try:
-                pairs = list(pool.map(_dpor_worker, payloads))
+                pairs = list(pool.map(_dpor_worker, map(payload, runs)))
             except (BrokenProcessPool, OSError):
                 pool_broken = True  # sandboxed: finish serially
                 pairs = None
         if pairs is None:
-            pairs = [run_serial(p) for p in prefixes]
-        for trace, _ in pairs:
-            note(trace)
+            pairs = [_dpor_worker(payload(run)) for run in runs]
+        for trace, record in pairs:
+            note(trace, record)
         return [record for _, record in pairs]
 
     try:

@@ -27,11 +27,17 @@ Base footprints are derived purely from the ``kind:detail`` strings of
 :class:`~repro.runtime.schedpoint.SchedPoint` hooks; the scheduler unions
 in the shared-variable accesses observed at runtime (see
 ``Scheduler.note_access``).
+
+A sweep sees few distinct footprints but hashes and records them at every
+decision, so the base footprint of each point string and the canonical
+sorted form of each footprint are computed once and memoised (bounded
+LRU caches: a fuzz campaign keeps minting new programs).
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import FrozenSet, Iterable, Tuple
 
 from ..runtime.schedpoint import SchedPoint
@@ -46,7 +52,10 @@ WILDCARD: Footprint = frozenset({("*", "w")})
 
 _CLAIM_RE = re.compile(r"^(r\d+)t\d+(u\d+)$")
 
+_CACHE_SIZE = 4096
 
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def point_footprint(point: str) -> Footprint:
     """Base footprint of one SchedPoint, from its ``kind:detail`` string."""
     kind, _, detail = point.partition(":")
@@ -110,9 +119,15 @@ def conflicts(a: Footprint, b: Footprint) -> bool:
     return False
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def canonical(fp: Footprint) -> Tuple[str, ...]:
+    """Sorted ``"object/mode"`` strings of ``fp``."""
+    return tuple(sorted(f"{obj}/{mode}" for obj, mode in fp))
+
+
 def footprint_to_list(fp: Footprint) -> list:
     """Canonical JSON form: sorted ``"object/mode"`` strings."""
-    return sorted(f"{obj}/{mode}" for obj, mode in fp)
+    return list(canonical(fp))
 
 
 def footprint_from_list(items: Iterable[str]) -> Footprint:

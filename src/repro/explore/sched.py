@@ -25,9 +25,15 @@ while the segment ran.  ``decision_event_index[i]`` maps decision ``i`` to
 the index of the first event executed after it, so
 ``events[decision_event_index[i]]`` is exactly the step taken by the chosen
 thread.  With ``fingerprints=True`` each branching decision additionally
-hashes the quiescent global state (thread positions + observation hashes,
-mailbox contents, collective-round state, shared cells) so drivers can
-prune revisited states.
+records a fingerprint of the quiescent global state (thread positions +
+observation hashes, mailbox contents, collective-round state, shared
+cells) so drivers can prune revisited states.  A run that first replays a
+recorded run's choices (a DPOR child replaying its parent's prefix) is
+handed the recorded ``(choice, fingerprint)`` pairs as ``inherit``: while
+every decision so far took the recorded choice, the state at the next
+decision *is* the recorded run's, so its fingerprint is reused instead of
+hashed.  Hashing starts at the first decision past the inherited pairs,
+or at the first one whose recorded choice is not runnable.
 
 Time is virtual — one tick per scheduling operation, loop iteration and
 function call — and deadlock detection is structural: the moment a decision
@@ -89,10 +95,14 @@ class Scheduler:
 
     def __init__(self, strategy: Optional[Strategy] = None,
                  fingerprints: bool = False,
-                 wall_clock: bool = False) -> None:
+                 wall_clock: bool = False,
+                 inherit: Sequence[Tuple[str, str]] = ()) -> None:
         self.strategy = strategy or DefaultStrategy()
         self.fingerprints = fingerprints
         self.wall_clock = wall_clock
+        #: ``(choice, fingerprint)`` of a replayed run's first decisions;
+        #: cut short at the first decision that leaves the recorded path.
+        self._inherit = list(inherit) if fingerprints else []
         self._threads: Dict[str, _Logical] = {}
         self._ready_list: List[str] = []  # sorted; maintained incrementally
         self._spawn_counts: Dict[Optional[str], int] = {}
@@ -297,8 +307,17 @@ class Scheduler:
         if chosen not in candidates:
             chosen = candidates[0]
         self.decision_event_index.append(len(self.events))
-        self.state_fingerprints.append(
-            self._fingerprint(world) if self.fingerprints else None)
+        inherit = self._inherit
+        if index < len(inherit) and inherit[index][0] in candidates:
+            recorded, fingerprint = inherit[index]
+            if chosen != recorded:
+                del inherit[index + 1:]  # later states are this run's own
+        else:
+            # Past the recorded path or off it: hash from here on.
+            inherit.clear()
+            fingerprint = self._fingerprint(world) if self.fingerprints \
+                else None
+        self.state_fingerprints.append(fingerprint)
         self.decisions.append(Decision(index, point, current,
                                        tuple(candidates), chosen))
         return chosen

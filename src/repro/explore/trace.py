@@ -24,6 +24,11 @@ JSON schema (``version`` 2)::
       ]
     }
 
+``ScheduleTrace.load``/``from_json``/``from_dict`` answer anything that
+is not such a document — a missing or unreadable file, text that is not
+JSON, a top-level array, an unknown version, a field of the wrong type, an
+unknown thread level — with one :class:`TraceError`.
+
 ``choices[*]``: ``i`` decision index, ``p`` schedule point (kind:detail),
 ``u`` the thread that was running (``null`` = forced switch), ``r`` the
 sorted runnable set, ``c`` the chosen thread.  Version 2 adds the pruning
@@ -52,6 +57,49 @@ from .strategies import Decision
 
 TRACE_VERSION = 2
 _READABLE_VERSIONS = (1, 2)
+
+
+class TraceError(ValueError):
+    """The input is not a readable schedule trace."""
+
+
+_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string",
+               int: "an integer", bool: "a boolean", float: "a number",
+               type(None): "null"}
+
+
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise TraceError(message)
+
+
+def _check_fields(where: str, data: dict, kinds: Dict[str, tuple]) -> None:
+    """Each present field of ``data`` named in ``kinds`` has one of its
+    types (``bool`` never passes for ``int``)."""
+    for key, types in kinds.items():
+        if key not in data:
+            continue
+        value = data[key]
+        if not isinstance(value, types) \
+                or (isinstance(value, bool) and bool not in types):
+            raise TraceError(
+                f"{where}{key!r} must be "
+                f"{' or '.join(_TYPE_NAMES[t] for t in types)}, not "
+                f"{_TYPE_NAMES.get(type(value), type(value).__name__)}")
+
+
+def step_footprints(events, event_index,
+                    n: int) -> List[Optional[List[str]]]:
+    """Per decision ``i < n``: the canonical footprint of the step the
+    chosen thread executed after it, or None when the run recorded none."""
+    footprints: List[Optional[List[str]]] = []
+    for i in range(n):
+        ei = event_index[i] if i < len(event_index) else None
+        if ei is not None and ei < len(events):
+            footprints.append(footprint_to_list(events[ei][1]))
+        else:
+            footprints.append(None)
+    return footprints
 
 
 def verdict_line(result: RunResult) -> str:
@@ -87,17 +135,15 @@ class ScheduleTrace:
     @classmethod
     def record(cls, scheduler, config: Dict[str, object], result: RunResult,
                strategy_info: Optional[Dict[str, object]] = None,
-               mode: str = "full") -> "ScheduleTrace":
-        events = getattr(scheduler, "events", [])
-        event_index = getattr(scheduler, "decision_event_index", [])
+               mode: str = "full", steps: bool = True) -> "ScheduleTrace":
+        """The trace of a finished run.  ``steps=False`` leaves the step
+        footprints out, for a caller that keeps few of its traces and
+        adds them (:func:`step_footprints`) to those it keeps."""
         state_fps = list(getattr(scheduler, "state_fingerprints", []))
-        footprints: List[Optional[List[str]]] = []
-        for i in range(len(scheduler.decisions)):
-            ei = event_index[i] if i < len(event_index) else None
-            if ei is not None and ei < len(events):
-                footprints.append(footprint_to_list(events[ei][1]))
-            else:
-                footprints.append(None)
+        footprints = step_footprints(
+            getattr(scheduler, "events", []),
+            getattr(scheduler, "decision_event_index", []),
+            len(scheduler.decisions)) if steps else []
         state_fps += [None] * (len(scheduler.decisions) - len(state_fps))
         return cls(
             config=dict(config),
@@ -145,11 +191,37 @@ class ScheduleTrace:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScheduleTrace":
+        _check(isinstance(data, dict), "a trace must be a JSON object, not "
+               + _TYPE_NAMES.get(type(data), type(data).__name__))
         version = data.get("version", TRACE_VERSION)
-        if version not in _READABLE_VERSIONS:
-            raise ValueError(f"unsupported trace version {version}")
+        _check(not isinstance(version, bool)
+               and version in _READABLE_VERSIONS,
+               f"unsupported trace version {version!r}")
+        _check_fields("", data, {"config": (dict,), "verdict": (dict,),
+                                 "choices": (list,), "mode": (str,),
+                                 "strategy": (dict,)})
+        config = data.get("config", {})
+        _check_fields("config ", config, {
+            "nprocs": (int,), "num_threads": (int,), "thread_level": (str,),
+            "entry": (str,), "instrument": (bool,)})
+        for key in ("nprocs", "num_threads"):
+            _check(config.get(key, 1) >= 1,
+                   f"config {key!r} must be at least 1")
+        level = config.get("thread_level", "multiple")
+        _check(level.upper() in ThreadLevel.__members__,
+               f"unknown thread level {level!r}")
         verdict = data.get("verdict", {})
+        _check_fields("verdict ", verdict, {
+            "line": (str,), "class": (str,), "detected_by": (str,)})
         raw_choices = data.get("choices", [])
+        for i, c in enumerate(raw_choices):
+            where = f"choice {i}: "
+            _check(isinstance(c, dict), f"{where}must be an object")
+            _check("c" in c, f"{where}no chosen thread 'c'")
+            _check_fields(where, c, {
+                "i": (int,), "p": (str,), "u": (str, type(None)),
+                "r": (list,), "c": (str,), "f": (list, type(None)),
+                "sf": (str, type(None))})
         choices = [
             Decision(
                 index=c.get("i", i),
@@ -174,7 +246,14 @@ class ScheduleTrace:
 
     @classmethod
     def from_json(cls, text: str) -> "ScheduleTrace":
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise TraceError(f"not a JSON document: {exc}") from None
+        except RecursionError:
+            raise TraceError("not a JSON document: nested too deeply") \
+                from None
+        return cls.from_dict(data)
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
@@ -182,8 +261,14 @@ class ScheduleTrace:
 
     @classmethod
     def load(cls, path: str) -> "ScheduleTrace":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(handle.read())
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise TraceError(exc.strerror or str(exc)) from None
+        except UnicodeDecodeError as exc:
+            raise TraceError(str(exc)) from None
+        return cls.from_json(text)
 
     # -- config helpers ---------------------------------------------------------
 

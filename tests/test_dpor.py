@@ -3,8 +3,10 @@ visits a subset of the bounded-DFS schedules yet finds the identical
 verdict set), the headline reduction on the seeded racy gallery case, the
 byte-identical parallel frontier (``--jobs``), footprint commutativity,
 trace v1/v2 compatibility, random-strategy dedupe, the wall-clock
-budget, and determinism: a sweep is one OS thread, so its schedule counts
-cannot depend on how the interpreter switches OS threads."""
+budget, prefix fingerprints reused from the parent run (equal to a fresh
+hash, and the only ones not hashed), and determinism: a sweep is one OS
+thread, so its schedule counts cannot depend on how the interpreter
+switches OS threads."""
 
 import json
 import sys
@@ -209,12 +211,12 @@ def test_dpor_driver_wave_order_is_independent_of_wave_size():
         driver = DporStrategy(preemption_bound=1)
         order = []
 
-        def execute_wave(prefixes):
+        def execute_wave(runs):
             records = []
-            for prefix in prefixes:
+            for prefix, inherited in runs:
                 order.append(tuple(prefix))
                 _, record = _dpor_worker(
-                    (program, config, None, prefix, 1, True))
+                    (program, config, None, prefix, inherited, 1, True))
                 records.append(record)
             return records
 
@@ -232,12 +234,77 @@ def test_run_record_is_picklable():
     program = _program("racy_single_worker_allreduce")
     config = ExploreConfig(nprocs=2, num_threads=2)
     from repro.explore.explore import _dpor_worker
-    trace, record = _dpor_worker((program, config, None, [], 1, True))
+    trace, record = _dpor_worker((program, config, None, [], (), 1, True))
     blob = pickle.dumps((trace, record))
     trace2, record2 = pickle.loads(blob)
     assert record2.events == record.events
     assert record2.fingerprints == record.fingerprints
     assert isinstance(record2, RunRecord)
+
+
+# -- inherited prefix fingerprints ---------------------------------------------------
+
+
+def _recorded_sweep(monkeypatch, program, config, **kwargs):
+    """Run a serial DPOR sweep; return ``(prefix, inherited, record)`` of
+    every run it executed."""
+    from repro.explore import explore as explore_mod
+
+    runs = []
+    worker = explore_mod._dpor_worker
+
+    def recording_worker(payload):
+        trace, record = worker(payload)
+        runs.append((payload[3], payload[4], record))
+        return trace, record
+
+    monkeypatch.setattr(explore_mod, "_dpor_worker", recording_worker)
+    report = explore_config(program, config, strategy="dpor",
+                            minimize=False, **kwargs)
+    monkeypatch.setattr(explore_mod, "_dpor_worker", worker)
+    assert len(runs) == report.schedules
+    return runs
+
+
+@pytest.mark.parametrize("nt", [2, 3])
+@pytest.mark.parametrize("name", sorted(schedule_sensitive_cases()))
+def test_inherited_fingerprints_equal_a_fresh_run(name, nt, monkeypatch):
+    """Every run of the sweep reuses its parent's fingerprints over the
+    forced prefix; hashing the same prefix from scratch gives the same
+    values, at every decision of the run."""
+    from repro.explore import ScriptedStrategy, run_scheduled
+
+    program = _program(name)
+    config = ExploreConfig(nprocs=2, num_threads=nt)
+    runs = _recorded_sweep(monkeypatch, program, config, runs=200)
+    assert any(inherited for _, inherited, _ in runs)
+    for prefix, inherited, record in runs:
+        assert len(inherited) == len(prefix)
+        _, fresh = run_scheduled(program, config, ScriptedStrategy(prefix),
+                                 fingerprints=True)
+        assert None not in fresh.state_fingerprints
+        assert record.fingerprints[:len(prefix)] == list(inherited)
+        assert record.fingerprints == fresh.state_fingerprints
+
+
+def test_sweep_hashes_only_decisions_past_the_prefix(monkeypatch):
+    from repro.explore.sched import Scheduler
+
+    hashed = []
+    fingerprint = Scheduler._fingerprint
+
+    def counting(self, world):
+        hashed.append(1)
+        return fingerprint(self, world)
+
+    monkeypatch.setattr(Scheduler, "_fingerprint", counting)
+    config = ExploreConfig(nprocs=2, num_threads=3)
+    runs = _recorded_sweep(monkeypatch,
+                           _program("racy_single_worker_allreduce"), config,
+                           runs=200)
+    assert len(runs) > 1
+    assert len(hashed) == sum(len(record.decisions) - len(prefix)
+                              for prefix, _, record in runs)
 
 
 # -- determinism ------------------------------------------------------------------
